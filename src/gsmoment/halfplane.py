@@ -7,69 +7,76 @@ come from differentiating under the integral, f^(p)(z) = integral of
 collapses to i^p times the p-th moment of phi, which ties the boundary
 jet of f to a moment sequence.
 
-Evaluation uses adaptive quadrature on the real and imaginary parts; for
-strongly oscillatory arguments (|Re z| large) it switches to the Fourier
-weight integrator. A separate arbitrary-precision path exists for
-stencil checks whose budgets sit below quadrature noise.
+For the flat atoms t^k e^{-t-1/t} the integral has a closed form
+(DLMF 10.32.10): with a = 1 - iz and nu = k + p + 1,
+
+    integral of (it)^p t^k e^{-t-1/t} e^{itz} dt = 2 i^p a^{-nu/2} K_nu(2 sqrt a).
+
+Every evaluation sums these terms in arbitrary precision. The terms of a
+moment solution are large and cancel near the boundary, so the working
+precision grows by the digits the sum loses, read off the terms
+themselves, until the requested digits survive.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
-from scipy.integrate import IntegrationWarning, quad
 
-from .atoms import FLAT, TestFunction
-from .errors import (ExtrapolationDivergence, InvalidParameter,
-                     UnsupportedSupport)
+from .atoms import TestFunction
+from .errors import (ExtrapolationDivergence, IllConditioned,
+                     InvalidParameter, UnsupportedSupport)
 from .solver import MomentSolution, SequenceTarget, solve_moments
 from .transforms import sign_twist
 
 DERIVATIVE_CAP = 32
-_OSCILLATORY_CUT = 5.0
-_SPLIT_POINT = 100.0
-_INNER_POINTS = (1.0, 5.0, 25.0, 80.0)
+_FLOAT_DPS = 20       # digits behind the complex returned by eval_derivative
+_GUARD_DPS = 5        # digits kept beyond the cancellation estimate
+_MAX_WORK_DPS = 2000  # refuse sums that cancel below this precision
 
 _I_POWER = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
-def _quad_pair(fn, oscillation, extra_points=()):
-    """Integrate fn over (0, inf) against cos(w t) and sin(w t).
+def _bessel_k_run(lo, hi, w):
+    """K_n(w) for n = lo..hi: mpmath for the two lowest orders, then the
+    forward recurrence K_{n+1} = K_{n-1} + (2n/w) K_n, stable for K."""
+    ks = [mp.besselk(lo, w)]
+    if hi > lo:
+        ks.append(mp.besselk(lo + 1, w))
+        for n in range(lo + 1, hi):
+            ks.append(ks[-2] + (2 * n / w) * ks[-1])
+    return ks
 
-    The integrand is renormalized to unit peak first; QUADPACK's absolute
-    error floor would otherwise accept garbage for integrals whose whole
-    scale is far from 1."""
-    pts = sorted(set(_INNER_POINTS) | {p for p in extra_points
-                                       if 0.0 < p < _SPLIT_POINT})
-    probes = np.concatenate([np.geomspace(1e-4, 99.0, 40), np.array(pts)])
-    peak = max(abs(fn(t)) for t in probes)
-    if peak == 0.0 or not math.isfinite(peak):
-        return 0.0, 0.0
-    scaled = lambda t: fn(t) / peak
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        if abs(oscillation) > _OSCILLATORY_CUT:
-            c, _ = quad(scaled, 0.0, np.inf, weight="cos", wvar=oscillation,
-                        limit=400)
-            s, _ = quad(scaled, 0.0, np.inf, weight="sin", wvar=oscillation,
-                        limit=400)
-            return peak * c, peak * s
-        if oscillation == 0.0:
-            c1, _ = quad(scaled, 0.0, _SPLIT_POINT, points=pts, limit=400)
-            c2, _ = quad(scaled, _SPLIT_POINT, np.inf, limit=200)
-            return peak * (c1 + c2), 0.0
-        cos_fn = lambda t: scaled(t) * math.cos(oscillation * t)
-        sin_fn = lambda t: scaled(t) * math.sin(oscillation * t)
-        out = []
-        for g in (cos_fn, sin_fn):
-            v1, _ = quad(g, 0.0, _SPLIT_POINT, points=pts, limit=400)
-            v2, _ = quad(g, _SPLIT_POINT, np.inf, limit=200)
-            out.append(peak * (v1 + v2))
-        return out[0], out[1]
+
+def _transform(coeffs, z, p, dps):
+    """f^(p)(z) for phi = sum of c_k t^k e^{-t-1/t} over the (k, c_k)
+    pairs, correct to dps significant digits."""
+    if not coeffs:
+        return mp.mpc(0)
+    orders = [k + p + 1 for k, _ in coeffs]
+    # K_{-nu} = K_nu, so the run covers |nu| only
+    lo = min(abs(nu) for nu in orders)
+    hi = max(abs(nu) for nu in orders)
+    work = dps + _GUARD_DPS
+    while True:
+        with mp.workdps(work):
+            root = mp.sqrt(1 - 1j * mp.mpc(z))
+            ks = _bessel_k_run(lo, hi, 2 * root)
+            terms = [mp.mpc(c) * root ** -nu * ks[abs(nu) - lo]
+                     for (_, c), nu in zip(coeffs, orders)]
+            total = mp.fsum(terms)
+            top = max(abs(t) for t in terms)
+            lost = work if total == 0 else \
+                max(0, int(math.ceil(float(mp.log10(top / abs(total))))))
+            if work - lost >= dps:
+                return 2 * mp.mpc(_i_power(p)) * total
+        if work >= _MAX_WORK_DPS:
+            raise IllConditioned(
+                "half-plane value cancels beyond %d digits" % _MAX_WORK_DPS)
+        work = min(_MAX_WORK_DPS, max(work + 1, dps + lost + _GUARD_DPS))
 
 
 class HalfPlaneFunction:
@@ -89,11 +96,18 @@ class HalfPlaneFunction:
             raise UnsupportedSupport(
                 "the transform needs a function supported on (0, inf)")
         self.phi = phi
+        # (power, coefficient) pairs; a solution's float view in .function
+        # loses the cancellation between its terms
+        if self._solution is not None:
+            self._coeffs = tuple((k, c) for k, c
+                                 in enumerate(source._mp_coeffs) if c != 0)
+        else:
+            self._coeffs = tuple((atom.k, c) for atom, c in phi.atoms)
 
     # -------------------------------------------------------- float path
 
     def eval_derivative(self, z, p=0):
-        """f^(p)(z) by quadrature of the differentiated integrand."""
+        """f^(p)(z) from the Bessel closed form, as a complex."""
         z = complex(z)
         if z.imag < 0.0:
             raise InvalidParameter("the domain is the closed upper half plane")
@@ -102,26 +116,7 @@ class HalfPlaneFunction:
         if p > DERIVATIVE_CAP:
             raise InvalidParameter(
                 "derivative order %d beyond cap %d" % (p, DERIVATIVE_CAP))
-        x, y = z.real, z.imag
-        phi = self.phi
-
-        def part(selector):
-            def fn(t):
-                return (t ** p) * selector(complex(phi(t))) * math.exp(-y * t)
-            return fn
-
-        extra = ()
-        if y > 50.0:
-            # strong vertical decay concentrates the mass near 1/sqrt(y)
-            spike = 1.0 / math.sqrt(y)
-            extra = (0.25 * spike, spike, 4.0 * spike)
-        cr, sr = _quad_pair(part(_re), x, extra)
-        if phi.is_real:
-            inner = complex(cr, sr)
-        else:
-            ci, si = _quad_pair(part(_im), x, extra)
-            inner = complex(cr, sr) + 1j * complex(ci, si)
-        return _i_power(p) * inner
+        return complex(_transform(self._coeffs, z, p, _FLOAT_DPS))
 
     def __call__(self, z):
         return self.eval_derivative(z, 0)
@@ -163,53 +158,13 @@ class HalfPlaneFunction:
     # ------------------------------------------------- high-precision path
 
     def eval_mp(self, z, p=0, dps=30):
-        """f^(p)(z) by arbitrary-precision quadrature."""
+        """f^(p)(z) from the Bessel closed form, to dps digits."""
         zc = complex(z)
         if zc.imag < 0.0:
             raise InvalidParameter("the domain is the closed upper half plane")
-        sol = self._solution
-        atoms = self.phi.atoms
+        value = _transform(self._coeffs, zc, p, dps)
         with mp.workdps(dps):
-            zm = mp.mpc(zc)
-
-            def phi_mp(t):
-                if sol is not None:
-                    return sol.eval_mp(t)
-                if t <= 0:
-                    return mp.mpf(0)
-                env = mp.exp(-t - 1 / t)
-                acc = mp.mpf(0)
-                for atom, coeff in atoms:
-                    acc += mp.mpc(coeff) * t ** atom.k
-                return acc * env
-
-            def integrand(t):
-                return (1j * t) ** p * phi_mp(t) * mp.exp(1j * t * zm)
-
-            pts = [0, 1, 5, 25, 90, mp.inf]
-            degree = 6
-            if zc.imag > 50.0:
-                # mass concentrates in a bump near 1/sqrt(Im z) whose
-                # relative width shrinks like Im(z)^(-1/4); tanh-sinh
-                # aliases narrow interior peaks, so subdivide until the
-                # peak fills its segment at every scale
-                spike = 1.0 / math.sqrt(zc.imag)
-                w = zc.imag ** -0.25 / math.sqrt(2.0)
-                offs = [1.0 - 6 * w, 1.0 - 2.5 * w, 1.0 - w,
-                        1.0 + w, 1.0 + 2.5 * w, 1.0 + 6 * w]
-                local = {f * spike for f in [0.25, 4.0] + offs if f > 0.0}
-                pts = sorted({p for p in pts[:-1] if p > 4.0 * spike}
-                             | {0.0} | local) + [mp.inf]
-                degree = 8
-            return mp.quad(integrand, pts, maxdegree=degree)
-
-
-def _re(v):
-    return v.real
-
-
-def _im(v):
-    return v.imag
+            return +value
 
 
 def _i_power(p):
@@ -229,9 +184,10 @@ def _neville_at_zero(xs, ys):
 def holomorphy_residual(f, z, delta=5e-5, dps=30):
     """Central-difference Cauchy-Riemann defect at z; for the transform
     this equals delta^2 f'''(z) / 3 up to higher order, so it vanishes
-    with delta exactly when f is holomorphic there. Uses the
-    high-precision path because the defect sits far below float
-    quadrature noise."""
+    with delta exactly when f is holomorphic there. The four values come
+    from eval_mp, the closed form at dps digits: the defect sits far
+    below what differences of float values resolve once divided by
+    delta."""
     zc = complex(z)
     if zc.imag - delta < 0.0:
         raise InvalidParameter("stencil dips below the boundary; raise Im z "
@@ -285,22 +241,16 @@ def borel_ritt_solve(entries, ws, h=1.0, override_gamma2=False,
 
     The quarter-turn twist maps the jet to a moment target: solving
     moments for (-i)^p a_p and transforming gives i^p mu_p = a_p. The
-    boundary jet is then verified by arbitrary-precision quadrature."""
+    solver verifies the moments by arbitrary-precision quadrature, and
+    |i^p mu_p - a_p| = |mu_p - (-i)^p a_p|, so its residuals are the
+    residuals of the boundary jet."""
     entries = tuple(complex(v) for v in entries)
     twisted = sign_twist(entries)
     target = SequenceTarget(tuple(twisted), h=h)
     sol = solve_moments(target, ws, override_gamma2=override_gamma2)
-    f = HalfPlaneFunction(sol)
-    residuals = []
-    for p, a_p in enumerate(entries):
-        mu = sol.moment_quadrature(p)
-        with mp.workdps(40):
-            got = mp.mpc(_i_power(p)) * mu
-            rel = float(abs(got - mp.mpc(a_p))) / max(1.0, abs(a_p))
-        residuals.append(rel)
-    worst = max(residuals)
+    worst = max(sol.residuals)
     if worst > tolerance:
         raise ExtrapolationDivergence(
             "boundary jet residual %.3e above tolerance %.1e"
             % (worst, tolerance))
-    return BorelRittResult(f, sol, tuple(residuals))
+    return BorelRittResult(HalfPlaneFunction(sol), sol, sol.residuals)

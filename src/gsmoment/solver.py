@@ -131,13 +131,19 @@ def _gram_rows(n, bits):
 _GATE_CACHE = {}
 
 
-def _gamma2_report(ws):
+def _gamma2_gate(ws, override):
+    """Verdict of the ratio-tail condition at exponent 2; refuses unless
+    it holds or the caller overrides."""
     key = json.dumps(ws.descriptor(), sort_keys=True)
     rep = _GATE_CACHE.get(key)
     if rep is None:
         rep = check_condition(ws, "gamma2")
         _GATE_CACHE[key] = rep
-    return rep
+    if rep.verdict != HOLDS and not override:
+        raise ConditionRefused(
+            "ratio-tail condition at exponent 2 is %s for this weight; "
+            "pass the override to solve anyway" % rep.verdict)
+    return rep.verdict
 
 
 class MomentSolution:
@@ -264,14 +270,7 @@ def solve_moments(target, ws, override_gamma2=False,
             "degree %d beyond cap %d" % (target.degree, DEGREE_CAP))
     if not isinstance(ws, WeightSequence):
         raise InvalidParameter("a WeightSequence is required")
-    verdict = None
-    if gate:
-        report = _gamma2_report(ws)
-        verdict = report.verdict
-        if verdict != HOLDS and not override_gamma2:
-            raise ConditionRefused(
-                "ratio-tail condition at exponent 2 is %s for this weight; "
-                "pass the override to solve anyway" % verdict)
+    verdict = _gamma2_gate(ws, override_gamma2) if gate else None
     n = target.degree + 1
     ladder = PRECISION_LADDER
     if min_bits is not None:
@@ -415,11 +414,7 @@ def reduction_roundtrip(target, ws, override_gamma2=False,
     by quadrature that the whole-line moments reproduce every entry."""
     if not isinstance(target, SequenceTarget):
         target = SequenceTarget(tuple(target))
-    report = _gamma2_report(ws)
-    if report.verdict != HOLDS and not override_gamma2:
-        raise ConditionRefused(
-            "ratio-tail condition at exponent 2 is %s for this weight; "
-            "pass the override to solve anyway" % report.verdict)
+    _gamma2_gate(ws, override_gamma2)
     ent = target.entries
     even = SequenceTarget(ent[0::2], h=target.h)
     odd = SequenceTarget(ent[1::2], h=target.h) if len(ent) > 1 else None

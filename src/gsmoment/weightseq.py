@@ -17,6 +17,7 @@ log-convex; tests enforce that agreement against an independent scan.
 
 from __future__ import annotations
 
+import ast
 import math
 import sys
 
@@ -272,13 +273,31 @@ def from_table(log_values, horizon=None):
                           log_values=log_values)
 
 
+class _FloatLiterals(ast.NodeTransformer):
+    """Integer literals become floats, so a rule cannot build unbounded
+    Python ints: 10**10**7 overflows at once instead of running for
+    minutes."""
+
+    def visit_Constant(self, node):
+        if type(node.value) is int:
+            return ast.copy_location(ast.Constant(float(node.value)), node)
+        return node
+
+
 def from_expr(expression, horizon=DEFAULT_HORIZON):
     """Sequence given by a closed-form rule for log M_p in the variable p.
 
     The rule is evaluated with numpy semantics in a namespace restricted to
-    log, exp, sqrt, lgamma, pow, pi, e. Example: "2*lgamma(p+1)".
+    log, exp, sqrt, lgamma, pow, pi, e. Example: "2*lgamma(p+1)". Integer
+    literals are read as floats; a rule that overflows or mixes in
+    non-numbers raises InvalidParameter.
     """
-    code = compile(str(expression), "<weight-rule>", "eval")
+    try:
+        tree = _FloatLiterals().visit(ast.parse(str(expression), mode="eval"))
+    except OverflowError as exc:  # an integer literal beyond float range
+        raise InvalidParameter("weight rule %r fails: %s"
+                               % (str(expression), exc)) from None
+    code = compile(tree, "<weight-rule>", "eval")
     names = set(code.co_names) - set(_EXPR_NAMESPACE) - {"p"}
     if names:
         raise InvalidParameter(
@@ -287,7 +306,12 @@ def from_expr(expression, horizon=DEFAULT_HORIZON):
     def vec(ps):
         env = dict(_EXPR_NAMESPACE)
         env["p"] = np.asarray(ps, dtype=float)
-        return np.asarray(eval(code, {"__builtins__": {}}, env), dtype=float)
+        try:
+            return np.asarray(eval(code, {"__builtins__": {}}, env),
+                              dtype=float)
+        except (OverflowError, TypeError) as exc:
+            raise InvalidParameter("weight rule %r fails: %s"
+                                   % (str(expression), exc)) from None
 
     return WeightSequence("expr", {"expression": str(expression)}, horizon,
                           log_weight_vec=vec)

@@ -1,9 +1,13 @@
 """Command line interface: exit codes, JSON output, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gsmoment
 from gsmoment.cli import main
 
 GEVREY3 = '{"kind":"gevrey","params":{"alpha":3.0}}'
@@ -182,6 +186,22 @@ def test_missing_required_argument_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--weight", GEVREY3])
     assert exc.value.code == 2
+
+
+def test_unbounded_expr_rule_exits_one_promptly():
+    # integer literals in a rule are floats, so 10**10**7 overflows at
+    # once instead of building a ten-million-digit integer
+    rule = json.dumps({"kind": "expr", "params": {
+        "expression": "lgamma(p+1) + 0*(10**10**7)"}})
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(gsmoment.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gsmoment.cli", "classify", "--horizon", "64",
+         "--weight", rule], env=env, capture_output=True, text=True,
+        timeout=20)
+    assert proc.returncode == 1
+    assert "InvalidParameter" in proc.stderr
 
 
 def test_domain_errors_exit_one(capsys):

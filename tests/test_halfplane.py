@@ -1,15 +1,19 @@
 """Half-plane transforms: evaluation, boundary values, prescribed jets."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import gsmoment
 from gsmoment import (HalfPlaneFunction, InvalidParameter, SequenceTarget,
                       UnsupportedSupport, borel_ritt_solve, flat, gauss_poly,
                       gevrey, holomorphy_residual, reflect, solve_moments,
-                      uhf_norm)
+                      uhf_norm, unit_ball_target)
 
 # 25-digit reference: integral of exp(-1/t - 2t) dt = sqrt(2) K_1(2 sqrt 2)
 VALUE_AT_I = 0.06983373700764657142875981
@@ -17,10 +21,25 @@ VALUE_AT_I = 0.06983373700764657142875981
 WS3 = gevrey(3.0, horizon=256)
 
 
-def _closed_form(z):
-    # oscillatory transform of exp(-1/t - t) in terms of a Bessel K factor
-    beta = mp.mpc(1.0) - 1j * mp.mpc(z)
-    return complex(2 * mp.sqrt(1 / beta) * mp.besselk(1, 2 * mp.sqrt(beta)))
+def _closed_form(z, k=0, p=0):
+    # transform of (it)^p t^k exp(-1/t - t): 2 i^p beta^(-nu/2) K_nu(2 sqrt beta)
+    nu = k + p + 1
+    with mp.workdps(30):
+        beta = mp.mpc(1.0) - 1j * mp.mpc(z)
+        return complex(2 * mp.mpc(0, 1) ** p * beta ** (-mp.mpf(nu) / 2)
+                       * mp.besselk(nu, 2 * mp.sqrt(beta)))
+
+
+def _quad_transform(phi_mp, z, p, dps):
+    # independent reference: tanh-sinh quadrature of (it)^p phi(t) e^{itz}
+    with mp.workdps(dps):
+        zm = mp.mpc(z)
+
+        def integrand(t):
+            if t <= 0:
+                return mp.mpf(0)
+            return (1j * t) ** p * phi_mp(t) * mp.exp(1j * t * zm)
+        return complex(mp.quad(integrand, [0, 1, 5, 25, 90, mp.inf]))
 
 
 def test_value_on_the_imaginary_axis_matches_reference():
@@ -31,18 +50,54 @@ def test_value_on_the_imaginary_axis_matches_reference():
 @pytest.mark.parametrize("z", [0.5 + 1j, 3 + 0.2j, 30 + 1j, -12 + 0.05j,
                                2 + 40j])
 def test_evaluation_matches_bessel_closed_form(z):
-    # exercises both the direct and the oscillatory integration paths
     f = HalfPlaneFunction(flat(0))
     ref = _closed_form(z)
     assert f.eval_derivative(z) == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("k, z, p", [(4, -19.895 + 0.7607j, 7),
+                                     (2, 7 + 0.3j, 8)])
+def test_oscillatory_high_order_values_match_closed_form(k, z, p):
+    # small Im z with large |Re z| and order: a Fourier-weight quadrature
+    # was off by a relative 5.0 and 2.8e-3 here
+    f = HalfPlaneFunction(flat(k))
+    assert f.eval_derivative(z, p) == pytest.approx(_closed_form(z, k, p),
+                                                    rel=1e-10)
+
+
 def test_high_precision_evaluation_agrees_with_float_path():
     f = HalfPlaneFunction(flat(0) + 0.5 * flat(1))
+    phi = lambda t: (1 + 0.5 * t) * mp.exp(-t - 1 / t)
     for z in (2 + 0.5j, 0.1 + 3j):
-        lo = f.eval_derivative(z, 1)
-        hi = complex(f.eval_mp(z, 1))
-        assert lo == pytest.approx(hi, rel=1e-8)
+        ref = _quad_transform(phi, z, 1, 30)
+        assert f.eval_derivative(z, 1) == pytest.approx(ref, rel=1e-12)
+        assert complex(f.eval_mp(z, 1)) == pytest.approx(ref, rel=1e-12)
+
+
+def test_solution_backed_values_survive_cancellation_near_the_boundary():
+    # the terms reach ~1e23 and cancel to O(1) near z = 0; the float view
+    # of the coefficients lost the value by a relative 5e11 at z = 0.01i
+    sol = solve_moments(unit_ball_target(WS3, 12, 0.25, seed=0), WS3,
+                        verify=False)
+    f = HalfPlaneFunction(sol)
+    top = max(abs(c) for c in sol.coefficient_values)
+    dps = 30 + max(0, math.ceil(math.log10(top)))
+    for z in (0.01j, 0.05 + 0.05j, 0.1j):
+        ref = _quad_transform(sol.eval_mp, z, 0, dps)
+        assert f.eval_derivative(z) == pytest.approx(ref, rel=1e-10)
+
+
+def test_import_leaves_quadrature_unloaded():
+    # the half-plane transform is a closed form; importing the package
+    # should not pay for scipy's quadrature module
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(gsmoment.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import gsmoment, sys; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_boundary_derivatives_are_twisted_moments():

@@ -60,6 +60,13 @@ def test_expr_table_matches_direct_evaluation():
     assert ws.log_weight(5) == pytest.approx(10.0 * math.log(6.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("rule", ["lgamma(p+1) + 'x'",
+                                  "lgamma(p+1) + 1" + "0" * 400])
+def test_expr_rule_failures_are_invalid_parameters(rule):
+    with pytest.raises(InvalidParameter):
+        from_expr(rule, horizon=64)
+
+
 def test_descriptor_roundtrip_reproduces_values():
     for ws in (gevrey(2.5, horizon=128), q_gevrey(1.5, horizon=128),
                from_table(list(gevrey(2.0, horizon=64).log_values))):
