@@ -10,6 +10,18 @@ fine for plotting and sup-norm profiles but lose the cancellation needed
 to reproduce the moments; every residual reported here comes from
 independent arbitrary-precision quadrature against those coefficients.
 
+That quadrature is one tanh-sinh pass (Takahasi-Mori) over all orders at
+once: each node evaluates phi once, at the largest cancellation headroom
+over the orders, and adds w phi(t) t^p into every running sum. Levels
+halve the step until the gap between two levels, the error estimate of
+Bailey, Jeyabalan and Li, falls below tolerance * 1e-3 on every order;
+a pass that reaches the level cap first is refused. The pass never calls
+a Bessel routine: the Bessel Gram rows only size its precision.
+
+Precision is set through the global mpmath context (mp.workprec and
+mp.workdps), which every thread of the process shares, so solving or
+verifying from several threads at once is unsafe.
+
 Solving is gated on the weight sequence: unless the classifier finds
 that the ratio-tail condition at exponent 2 holds, the problem is
 refused (the caller can override, and the override is recorded).
@@ -19,10 +31,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
+from mpmath.calculus.quadrature import TanhSinh
 
 from .atoms import FLAT, TestFunction, log_seminorm
 from .conditions import HOLDS, check_condition
@@ -36,7 +50,73 @@ PRECISION_LADDER = (200, 400, 800, 1600, 2000)
 DEFAULT_TOLERANCE = 1e-6
 OVERFLOW_LOG = math.log(np.finfo(float).max)  # ~709.78
 
-_QUAD_SPLIT = (0.0, 1.0, 5.0, 25.0, 90.0)
+_HALF_LINE_POINTS = (0, 1, 5, 25, 90, mp.inf)
+_SQUARE_POINTS = (0, 1, 3, 6, 10, mp.inf)  # for x -> x^2 pushforwards
+_MAX_LEVEL = 10   # tanh-sinh levels (step 2^-level) before a pass is refused
+_DPS_GRID = 20    # pass precisions round up to this, so few node sets recur
+_CACHE_SIZE = 32  # entries kept by each least-recently-used module cache
+_TANH_SINH = TanhSinh(mp)
+
+
+def _cached(cache, key, make):
+    """cache[key], from make() on a miss; beyond _CACHE_SIZE entries the
+    least recently used one goes."""
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    value = cache[key] = make()
+    if len(cache) > _CACHE_SIZE:
+        cache.popitem(last=False)
+    return value
+
+
+_NODE_CACHE = OrderedDict()
+
+
+def _level_nodes(points, level, prec):
+    """Tanh-sinh nodes (x, w) new at this level, over every interval
+    between consecutive breakpoints."""
+    def make():
+        nodes = []
+        for a, b in zip(points, points[1:]):
+            nodes.extend(_TANH_SINH.get_nodes(a, b, level, prec))
+        _TANH_SINH.clear()  # _NODE_CACHE is the only cache kept
+        return nodes
+    return _cached(_NODE_CACHE, (points, level, prec), make)
+
+
+def _shared_node_moments(sol, f, u, points, extra_dps=0):
+    """Integrals over the breakpoints of f(x) u(x)^j for every order j of
+    the solution's target, from one evaluation of f per tanh-sinh node,
+    at the solution's largest headroom plus extra_dps digits.
+
+    Stops at the first level whose sums all moved by at most
+    tolerance * 1e-3 of max(1, |a_j|) since the level before; raises
+    IllConditioned when _MAX_LEVEL is reached first."""
+    dps = max(sol._headroom_dps(j) for j in range(sol.degree + 1)) + extra_dps
+    scales = [max(1.0, abs(a)) for a in sol.target.entries]
+    slack = sol.tolerance * 1e-3
+    with mp.workdps(_DPS_GRID * -(-dps // _DPS_GRID)):
+        raw = [mp.zero] * len(scales)  # weighted sums over levels so far
+        last = None
+        for level in range(1, _MAX_LEVEL + 1):
+            for x, w in _level_nodes(points, level, mp.prec):
+                v = w * f(x)
+                ux = u(x)
+                for j in range(len(raw)):
+                    raw[j] += v
+                    v *= ux
+            step = mp.ldexp(1, -level)
+            sums = [step * r for r in raw]
+            if last is not None:
+                gap = max(float(abs(s - q)) / c
+                          for s, q, c in zip(sums, last, scales))
+                if gap <= slack:
+                    return sums
+            last = sums
+    raise IllConditioned(
+        "quadrature unresolved at tanh-sinh level %d: the last level moved "
+        "a moment by %.3e relative, above %.1e" % (_MAX_LEVEL, gap, slack))
 
 
 @dataclass(frozen=True)
@@ -128,17 +208,14 @@ def _gram_rows(n, bits):
     return rows
 
 
-_GATE_CACHE = {}
+_GATE_CACHE = OrderedDict()
 
 
 def _gamma2_gate(ws, override):
     """Verdict of the ratio-tail condition at exponent 2; refuses unless
     it holds or the caller overrides."""
     key = json.dumps(ws.descriptor(), sort_keys=True)
-    rep = _GATE_CACHE.get(key)
-    if rep is None:
-        rep = check_condition(ws, "gamma2")
-        _GATE_CACHE[key] = rep
+    rep = _cached(_GATE_CACHE, key, lambda: check_condition(ws, "gamma2"))
     if rep.verdict != HOLDS and not override:
         raise ConditionRefused(
             "ratio-tail condition at exponent 2 is %s for this weight; "
@@ -164,6 +241,7 @@ class MomentSolution:
         self.gate_override = override
         self.tolerance = tolerance
         self._function = None
+        self._quadrature = None
 
     @property
     def degree(self):
@@ -229,15 +307,16 @@ class MomentSolution:
                            for k, c in enumerate(self._mp_coeffs))
 
     def moment_quadrature(self, p):
-        """Independent check: arbitrary-precision quadrature of t^p phi(t)."""
-        dps = self._headroom_dps(p)
-        with mp.workdps(dps):
-            def integrand(t):
-                if t <= 0:
-                    return mp.mpf(0)
-                return t ** p * self.eval_mp(t)
-            pts = list(_QUAD_SPLIT) + [mp.inf]
-            return mp.quad(integrand, pts)
+        """Independent check: arbitrary-precision quadrature of t^p phi(t)
+        for a target order p. The first call runs one shared-node pass
+        over every order; later calls read its result."""
+        if not 0 <= p <= self.degree:
+            raise InvalidParameter("moment order %d outside 0..%d"
+                                   % (p, self.degree))
+        if self._quadrature is None:
+            self._quadrature = _shared_node_moments(
+                self, self.eval_mp, lambda t: t, _HALF_LINE_POINTS)
+        return self._quadrature[p]
 
     def to_dict(self):
         return {
@@ -390,21 +469,14 @@ class ReductionResult:
                 "residuals": list(self.residuals)}
 
 
-def _pushforward_moment_quadrature(sol, p, weighted):
-    """Quadrature over (0, inf) of x^p times the squared-argument push of
-    the half solution, at the half's own cancellation headroom."""
-    dps = max(sol._headroom_dps(q) for q in range(sol.degree + 1)) + 10
-    with mp.workdps(dps):
-        two = mp.mpf(2)
-
-        def integrand(x):
-            if x <= 0:
-                return mp.mpf(0)
-            base = sol.eval_mp(x * x)
-            w = two * x if weighted else two
-            return x ** p * w * base
-        pts = [0, 1, 3, 6, 10, mp.inf]
-        return mp.quad(integrand, pts)
+def _pushforward_moment_quadrature(sol):
+    """Quadratures over (0, inf) of x^(2j+1) 2 phi(x^2) for every order j
+    of the half solution: whole-line moment 2j of the even half pushed
+    through x -> x^2 with weight 2x, and moment 2j+1 of the odd half
+    pushed with weight 2, are both this integral."""
+    return _shared_node_moments(
+        sol, lambda x: 2 * x * sol.eval_mp(x * x), lambda x: x * x,
+        _SQUARE_POINTS, extra_dps=10)
 
 
 def reduction_roundtrip(target, ws, override_gamma2=False,
@@ -422,12 +494,11 @@ def reduction_roundtrip(target, ws, override_gamma2=False,
     if odd is None:
         odd = SequenceTarget((0j,), h=target.h)
     sol_o = solve_moments(odd, ws, tolerance=tolerance, gate=False)
+    pushed = (_pushforward_moment_quadrature(sol_e),
+              _pushforward_moment_quadrature(sol_o))
     residuals = []
     for p, a_p in enumerate(ent):
-        if p % 2 == 0:
-            q = _pushforward_moment_quadrature(sol_e, p, weighted=True)
-        else:
-            q = _pushforward_moment_quadrature(sol_o, p, weighted=False)
+        q = pushed[p % 2][p // 2]
         with mp.workdps(40):
             rel = float(abs(q - mp.mpc(a_p))) / max(1.0, abs(a_p))
         residuals.append(rel)

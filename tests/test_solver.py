@@ -1,14 +1,18 @@
 """Finite moment problem solver: gating, residuals, reduction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from gsmoment import (ConditionRefused, IllConditioned, InvalidParameter,
                       MomentSolution, SequenceTarget, TargetTooLarge,
-                      gevrey, lambda_norm, membership_report, q_gevrey,
-                      reduction_roundtrip, solve_moments, unit_ball_target)
+                      from_table, gevrey, lambda_norm, membership_report,
+                      q_gevrey, reduction_roundtrip, solve_moments,
+                      unit_ball_target)
+from gsmoment import solver
 
 WS3 = gevrey(3.0, horizon=256)
 
@@ -169,3 +173,72 @@ def test_high_precision_evaluation_matches_float_path():
     for x in (0.3, 1.0, 2.5):
         assert float(sol.eval_mp(x)) == pytest.approx(sol.function(x),
                                                       rel=1e-9)
+
+
+def _count_eval_mp(monkeypatch):
+    calls = [0]
+    plain = MomentSolution.eval_mp
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return plain(self, *args, **kwargs)
+    monkeypatch.setattr(MomentSolution, "eval_mp", counting)
+    return calls
+
+
+def test_verification_evaluates_phi_once_per_shared_node(monkeypatch):
+    calls = _count_eval_mp(monkeypatch)
+    target = unit_ball_target(WS3, 12, 0.25, seed=0)
+    sol = solve_moments(target, WS3, tolerance=1e-6)
+    assert calls[0] < 8000
+    assert max(sol.residuals) < 1e-25
+    made = calls[0]
+    for p, a_p in enumerate(target.entries):
+        q = complex(sol.moment_quadrature(p))
+        assert abs(q - a_p) / max(1.0, abs(a_p)) < 1e-25
+    assert calls[0] == made
+    with pytest.raises(InvalidParameter):
+        sol.moment_quadrature(13)
+
+
+def test_unresolved_quadrature_is_refused(monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_LEVEL", 5)
+    target = unit_ball_target(WS3, 12, 0.25, seed=0)
+    with pytest.raises(IllConditioned) as info:
+        solve_moments(target, WS3, tolerance=1e-6)
+    msg = str(info.value)
+    assert "level 5" in msg
+    gap = float(re.search(r"by (\S+) relative", msg).group(1))
+    assert gap > 1.0
+
+
+def test_verifiers_call_no_bessel_routine(monkeypatch):
+    # warm the Gram rows, which only size the quadrature precision
+    solve_moments(SequenceTarget((1.0, 0.5, 2.0, 6.0)), WS3)
+    reduction_roundtrip(SequenceTarget((1.0, 0.5, 2.0, -1.0, 4.0)), WS3)
+
+    def no_bessel(*args, **kwargs):
+        raise AssertionError("a verifier called a Bessel routine")
+    monkeypatch.setattr(mp, "besselk", no_bessel)
+    target = SequenceTarget((2.0, -1.0, 3.0, 1.0))
+    fresh = solve_moments(target, WS3, verify=False)
+    for p, a_p in enumerate(target.entries):
+        q = complex(fresh.moment_quadrature(p))
+        assert abs(q - a_p) / max(1.0, abs(a_p)) < 1e-20
+    red = reduction_roundtrip(SequenceTarget((2.0, 0.5, -1.0, 1.0, 3.0)),
+                              WS3)
+    assert max(red.residuals) < 1e-20
+
+
+def test_module_caches_stay_bounded():
+    base = 3.0 * np.array([math.lgamma(p + 1) for p in range(65)])
+    for i in range(100):
+        ws = from_table(base + 1e-3 * i * np.arange(65))
+        solve_moments(SequenceTarget((1.0,)), ws, override_gamma2=True,
+                      verify=False)
+        assert len(solver._GATE_CACHE) <= solver._CACHE_SIZE
+    for dps in range(20, 20 * 15, 20):
+        for level in (1, 2, 3):
+            with mp.workdps(dps):
+                solver._level_nodes(solver._HALF_LINE_POINTS, level, mp.prec)
+        assert len(solver._NODE_CACHE) <= solver._CACHE_SIZE
