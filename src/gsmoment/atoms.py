@@ -22,6 +22,7 @@ moments are Gamma((p+k+1)/2) for even p+k and zero for odd.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,19 @@ GAUSS = "gaussian_poly"
 
 MIN_FLAT_POWER = -8
 MAX_DERIVATIVE_ORDER = 64
+_CACHE_SIZE = 32  # entries kept by each least-recently-used module cache
+
+
+def _cached(cache, key, make):
+    """cache[key], from make() on a miss; beyond _CACHE_SIZE entries the
+    least recently used one goes."""
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    value = cache[key] = make()
+    if len(cache) > _CACHE_SIZE:
+        cache.popitem(last=False)
+    return value
 
 
 @dataclass(frozen=True)
@@ -56,8 +70,9 @@ class Atom:
 
 
 # (kind, k) -> list of coefficient dicts, entry m holds the polynomial
-# factor of the m-th derivative as {power: integer coefficient}
-_DERIV_CACHE = {}
+# factor of the m-th derivative as {power: integer coefficient}; filled
+# through _cached, so it keeps at most _CACHE_SIZE powers
+_DERIV_CACHE = OrderedDict()
 
 
 def _derivative_coeffs(kind, k, m):
@@ -65,7 +80,7 @@ def _derivative_coeffs(kind, k, m):
         raise DepthExceeded(
             "derivative order %d beyond cap %d" % (m, MAX_DERIVATIVE_ORDER))
     key = (kind, k)
-    chain = _DERIV_CACHE.setdefault(key, [{k: 1}])
+    chain = _cached(_DERIV_CACHE, key, lambda: [{k: 1}])
     while len(chain) <= m:
         prev = chain[-1]
         nxt = {}
@@ -132,11 +147,16 @@ def _atom_log_parts(atom, x, m):
     return sign, logabs
 
 
+def _flat_moment(nu):
+    """Integral of x^nu exp(-1/x - x) over (0, inf), which is
+    2 K_{nu+1}(2), as a float; nu may be any real."""
+    return 2.0 * float(_besselk(nu + 1, 2.0))
+
+
 def _atom_moment(atom, p):
     """Closed-form p-th moment of the bare atom."""
     if atom.kind == FLAT:
-        nu = p + atom.k + 1
-        value = 2.0 * float(_besselk(nu, 2.0))
+        value = _flat_moment(p + atom.k)
     else:
         n = p + atom.k
         if n % 2 == 1:

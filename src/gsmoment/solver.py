@@ -18,6 +18,14 @@ Bailey, Jeyabalan and Li, falls below tolerance * 1e-3 on every order;
 a pass that reaches the level cap first is refused. The pass never calls
 a Bessel routine: the Bessel Gram rows only size its precision.
 
+The Gram values come from one module-level sequence K_0(2), K_1(2), ...
+held at the highest precision asked for so far plus guard bits, and
+rounded down for each rung. Its seeds are power series at z = 2:
+K_0(2) = sum H_k/(k!)^2 - gamma I_0(2) (DLMF 10.31.2, where ln(z/2)
+vanishes), and K_1(2) from the Wronskian I_0 K_1 + I_1 K_0 = 1/z (DLMF
+10.28.2). Higher orders follow from K_{n+1}(2) = K_{n-1}(2) + n K_n(2)
+(DLMF 10.29.1), which adds positive terms and so is stable forward.
+
 Precision is set through the global mpmath context (mp.workprec and
 mp.workdps), which every thread of the process shares, so solving or
 verifying from several threads at once is unsafe.
@@ -38,7 +46,7 @@ import numpy as np
 from mpmath import mp
 from mpmath.calculus.quadrature import TanhSinh
 
-from .atoms import FLAT, TestFunction, log_seminorm
+from .atoms import _CACHE_SIZE, FLAT, TestFunction, _cached, log_seminorm
 from .conditions import HOLDS, check_condition
 from .errors import (ConditionRefused, IllConditioned, InvalidParameter,
                      TargetTooLarge)
@@ -54,21 +62,7 @@ _HALF_LINE_POINTS = (0, 1, 5, 25, 90, mp.inf)
 _SQUARE_POINTS = (0, 1, 3, 6, 10, mp.inf)  # for x -> x^2 pushforwards
 _MAX_LEVEL = 10   # tanh-sinh levels (step 2^-level) before a pass is refused
 _DPS_GRID = 20    # pass precisions round up to this, so few node sets recur
-_CACHE_SIZE = 32  # entries kept by each least-recently-used module cache
 _TANH_SINH = TanhSinh(mp)
-
-
-def _cached(cache, key, make):
-    """cache[key], from make() on a miss; beyond _CACHE_SIZE entries the
-    least recently used one goes."""
-    if key in cache:
-        cache.move_to_end(key)
-        return cache[key]
-    value = cache[key] = make()
-    if len(cache) > _CACHE_SIZE:
-        cache.popitem(last=False)
-    return value
-
 
 _NODE_CACHE = OrderedDict()
 
@@ -192,20 +186,52 @@ def unit_ball_target(ws, degree, scale, seed):
     return SequenceTarget(ent, h=scale)
 
 
-_GRAM_CACHE = {}
+_K2_GUARD = 20  # bits _K2 is held beyond the highest precision asked for
+_K2_BITS = 0    # precision of _K2, guard bits included
+_K2 = []        # K_0(2), K_1(2), ... at _K2_BITS bits
+
+
+def _k2_seeds():
+    """[K_0(2), K_1(2)] at the working precision, from the power series
+    of I_0(2), I_1(2) and K_0(2) and the Wronskian."""
+    tiny = mp.ldexp(1, -mp.prec - 8)
+    i0 = i1 = s = mp.zero
+    term = mp.one  # 1/(k!)^2
+    harmonic = mp.zero  # H_k = 1 + 1/2 + ... + 1/k
+    k = 0
+    while term > tiny:
+        i0 += term
+        i1 += term / (k + 1)
+        s += harmonic * term
+        k += 1
+        harmonic += mp.one / k
+        term /= k * k
+    k0 = s - mp.euler * i0
+    return [k0, (mp.one / 2 - i1 * k0) / i0]
+
+
+def _bessel_k2(count, bits):
+    """The list K_0(2), K_1(2), ... with at least count entries, accurate
+    beyond bits: reseeded when bits asks for more precision than it
+    holds, extended by the recurrence when it is too short."""
+    global _K2_BITS
+    if bits + _K2_GUARD > _K2_BITS:
+        with mp.workprec(bits + _K2_GUARD):
+            _K2[:] = _k2_seeds()
+        _K2_BITS = bits + _K2_GUARD
+    with mp.workprec(_K2_BITS):
+        while len(_K2) < count:
+            n = len(_K2) - 1
+            _K2.append(_K2[n - 1] + n * _K2[n])
+    return _K2
 
 
 def _gram_rows(n, bits):
     """Rows of the moment matrix 2 K_{p+k+1}(2) at the given precision."""
-    key = (n, bits)
-    rows = _GRAM_CACHE.get(key)
-    if rows is None:
-        with mp.workprec(bits):
-            vals = [2 * mp.besselk(m + 1, 2) for m in range(2 * n - 1)]
-            rows = tuple(tuple(vals[p + k] for k in range(n))
-                         for p in range(n))
-        _GRAM_CACHE[key] = rows
-    return rows
+    k2 = _bessel_k2(2 * n, bits)
+    with mp.workprec(bits):
+        vals = [2 * k2[m + 1] for m in range(2 * n - 1)]
+    return tuple(tuple(vals[p:p + n]) for p in range(n))
 
 
 _GATE_CACHE = OrderedDict()

@@ -18,9 +18,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import kv as _besselk
 
-from .atoms import FLAT, GAUSS, TestFunction
+from .atoms import FLAT, GAUSS, TestFunction, _flat_moment
 from .errors import (DepthExceeded, InvalidParameter, SingularMultiplier,
                      UnsupportedAtom)
 
@@ -35,7 +34,7 @@ def halfline_moment(phi, nu):
         if atom.kind == FLAT:
             if atom.reflected:
                 continue
-            total += coeff * 2.0 * float(_besselk(nu + atom.k + 1, 2.0))
+            total += coeff * _flat_moment(nu + atom.k)
         else:
             n = nu + atom.k
             if n <= -1.0:

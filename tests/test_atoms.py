@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsmoment import atoms
 from gsmoment import (Atom, DepthExceeded, InvalidParameter, TestFunction,
                       UnsupportedAtom, dual_seminorm_pair, flat, gauss_poly,
                       gevrey, log_seminorm, seminorm)
@@ -150,6 +151,12 @@ def test_derivative_order_cap():
         flat(0).eval_derivative(1.0, 65)
     with pytest.raises(InvalidParameter):
         flat(0).eval_derivative(1.0, -1)
+
+
+def test_derivative_cache_stays_bounded():
+    for k in range(100):
+        assert np.isfinite(flat(k).eval_derivative(1.0, 2))
+        assert len(atoms._DERIV_CACHE) <= atoms._CACHE_SIZE
 
 
 def test_negative_power_atoms_evaluate():

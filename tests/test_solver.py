@@ -106,6 +106,41 @@ def test_minimum_precision_knob():
         solve_moments(target, WS3, min_bits=32)
 
 
+def _reset_bessel_sequence(monkeypatch):
+    monkeypatch.setattr(solver, "_K2", [])
+    monkeypatch.setattr(solver, "_K2_BITS", 0)
+
+
+def test_gram_values_match_the_bessel_routine(monkeypatch):
+    for bits in (200, 400):
+        _reset_bessel_sequence(monkeypatch)
+        rows = solver._gram_rows(13, bits)
+        with mp.workprec(bits):
+            for m in range(25):
+                ref = 2 * mp.besselk(m + 1, 2)
+                got = rows[max(0, m - 12)][min(m, 12)]
+                assert abs(got - ref) <= mp.ldexp(ref, 4 - bits)
+    _reset_bessel_sequence(monkeypatch)
+    seeds = solver._bessel_k2(2, 800)
+    with mp.workprec(800):
+        for nu in (0, 1):
+            ref = mp.besselk(nu, 2)
+            assert abs(seeds[nu] - ref) <= mp.ldexp(ref, 4 - 800)
+
+
+def test_cold_high_rungs_call_no_bessel_routine(monkeypatch):
+    _reset_bessel_sequence(monkeypatch)
+
+    def no_bessel(*args, **kwargs):
+        raise AssertionError("Gram values called a Bessel routine")
+    monkeypatch.setattr(mp, "besselk", no_bessel)
+    target = SequenceTarget((1, 0.5 + 0.2j, 2, 6 + 1j, 24, 120 + 3j, 720,
+                             5040 + 10j, 40320))
+    sol = solve_moments(target, WS3, min_bits=1600)
+    assert sol.precision_bits == 1600
+    assert max(sol.residuals) < solver.DEFAULT_TOLERANCE
+
+
 def test_coefficient_views_are_consistent():
     sol = solve_moments(SequenceTarget((1.0, 0.5, 2.0)), WS3)
     strings = sol.coefficients
