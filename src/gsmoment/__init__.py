@@ -7,10 +7,10 @@ from .errors import (ConditionRefused, DepthExceeded,
                      NotAWeightSequence, RequiresLogConvexity,
                      SingularMultiplier, TargetTooLarge, UnsupportedAtom,
                      UnsupportedSupport)
-from .weightseq import (DEFAULT_HORIZON, MIN_HORIZON, AssociatedFunction,
-                        WeightSequence, associated_function, from_expr,
-                        from_table, gevrey, is_log_convex, make_sequence,
-                        q_gevrey)
+from .weightseq import (DEFAULT_HORIZON, MAX_HORIZON, MIN_HORIZON,
+                        AssociatedFunction, WeightSequence,
+                        associated_function, from_expr, from_table, gevrey,
+                        is_log_convex, make_sequence, q_gevrey)
 from .conditions import (DEFAULT_CONDITIONS, FAILS, HOLDS, INCONCLUSIVE,
                          ConditionReport, check_condition, classify)
 from .interpolating import (InterpolatedPair, interpolation_agreement,
@@ -40,7 +40,8 @@ __all__ = [
     "GsmomentError", "HOLDS", "HalfPlaneFunction", "HorizonExceeded",
     "IllConditioned", "INCONCLUSIVE", "IndexOutOfHorizon",
     "InterpolatedPair", "InvalidParameter", "MAX_DERIVATIVE_ORDER",
-    "MIN_HORIZON", "MomentSolution", "NotAWeightSequence", "OPERATORS",
+    "MAX_HORIZON", "MIN_HORIZON", "MomentSolution", "NotAWeightSequence",
+    "OPERATORS",
     "ReductionResult", "RequiresLogConvexity", "SequenceTarget",
     "SingularMultiplier", "TargetTooLarge", "TestFunction",
     "UnsupportedAtom", "UnsupportedSupport", "WeightSequence",

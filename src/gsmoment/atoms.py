@@ -26,8 +26,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kv as _besselk
 
+from .bessel import flat_moment
 from .errors import DepthExceeded, InvalidParameter, UnsupportedAtom
 from .weightseq import WeightSequence
 
@@ -147,16 +147,10 @@ def _atom_log_parts(atom, x, m):
     return sign, logabs
 
 
-def _flat_moment(nu):
-    """Integral of x^nu exp(-1/x - x) over (0, inf), which is
-    2 K_{nu+1}(2), as a float; nu may be any real."""
-    return 2.0 * float(_besselk(nu + 1, 2.0))
-
-
 def _atom_moment(atom, p):
     """Closed-form p-th moment of the bare atom."""
     if atom.kind == FLAT:
-        value = _flat_moment(p + atom.k)
+        value = flat_moment(p + atom.k)
     else:
         n = p + atom.k
         if n % 2 == 1:

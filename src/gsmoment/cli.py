@@ -7,13 +7,15 @@ verify. Inputs are JSON, either inline (arguments starting with '{' or
 byte-identical.
 
 Exit codes: 0 all results decisive / checks passed; 3 at least one
-Inconclusive or unknown result; 1 a computation was refused or failed;
-2 usage or input errors.
+Inconclusive or unknown result; 1 a computation was refused or failed,
+or a result holds a number beyond float range, which JSON cannot
+carry; 2 usage or input errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -22,7 +24,7 @@ import numpy as np
 
 from .atoms import TestFunction, dual_seminorm_pair, log_seminorm
 from .conditions import DEFAULT_CONDITIONS, INCONCLUSIVE, classify
-from .errors import GsmomentError
+from .errors import GsmomentError, InvalidParameter
 from .halfplane import borel_ritt_solve
 from .interpolating import interpolation_agreement, two_interpolate
 from .solver import (SequenceTarget, lambda_norm, membership_report,
@@ -34,6 +36,8 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+
+MAX_MOMENT_ORDER = 1024
 
 
 class UsageError(Exception):
@@ -183,6 +187,8 @@ def _cmd_seminorm(args):
 
 
 def _cmd_moments(args):
+    if not 0 <= args.max_order <= MAX_MOMENT_ORDER:
+        raise UsageError("--max-order must lie in 0..%d" % MAX_MOMENT_ORDER)
     phi = _function_from_args(args.function)
     applied = []
     for tag in args.apply or []:
@@ -194,8 +200,16 @@ def _cmd_moments(args):
                 "--apply: %s acts on sequences, not functions" % tag)
         phi = apply_operator(tag, phi)
         applied.append(tag)
-    orders = range(args.max_order + 1)
-    moments = [_pair(phi.moment(p)) for p in orders]
+    moments = []
+    for p in range(args.max_order + 1):
+        try:
+            mu = complex(phi.moment(p))
+        except OverflowError:  # math.gamma, for a Gaussian atom
+            mu = complex(math.inf)
+        if not cmath.isfinite(mu):
+            raise InvalidParameter(
+                "moment of order %d overflows a double" % p)
+        moments.append(_pair(mu))
     payload = {
         "applied": applied,
         "max_order": args.max_order,
@@ -321,7 +335,8 @@ def build_parser():
     p = sub.add_parser("moments", parents=[common],
                        help="closed-form moments, optionally transformed")
     p.add_argument("--function", required=True)
-    p.add_argument("--max-order", type=int, default=8)
+    p.add_argument("--max-order", type=int, default=8,
+                   help="highest moment order, 0..%d" % MAX_MOMENT_ORDER)
     p.add_argument("--apply", action="append", default=None,
                    metavar="TAG",
                    help="operator tag applied before taking moments; "
@@ -376,8 +391,12 @@ def main(argv=None):
     except OSError as exc:
         print("io error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    text = json.dumps(payload, sort_keys=True, indent=2,
-                      default=_json_default) + "\n"
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
+                          default=_json_default) + "\n"
+    except ValueError as exc:  # an inf or nan has no JSON form
+        print("error: result is not finite: %s" % exc, file=sys.stderr)
+        return EXIT_FAILURE
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -12,10 +12,11 @@ For the flat atoms t^k e^{-t-1/t} the integral has a closed form
 
     integral of (it)^p t^k e^{-t-1/t} e^{itz} dt = 2 i^p a^{-nu/2} K_nu(2 sqrt a).
 
-Every evaluation sums these terms in arbitrary precision. The terms of a
-moment solution are large and cancel near the boundary, so the working
-precision grows by the digits the sum loses, read off the terms
-themselves, until the requested digits survive.
+Every evaluation sums these terms in arbitrary precision, over one run
+of K orders from the bessel module. The terms of a moment solution are
+large and cancel near the boundary, so the working precision grows by
+the digits the sum loses, read off the terms themselves, until the
+requested digits survive.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from mpmath import mp
 
 from .atoms import TestFunction
+from .bessel import flat_moment, k_run
 from .errors import (ExtrapolationDivergence, IllConditioned,
                      InvalidParameter, UnsupportedSupport)
 from .solver import MomentSolution, SequenceTarget, solve_moments
@@ -38,17 +40,6 @@ _GUARD_DPS = 5        # digits kept beyond the cancellation estimate
 _MAX_WORK_DPS = 2000  # refuse sums that cancel below this precision
 
 _I_POWER = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
-
-
-def _bessel_k_run(lo, hi, w):
-    """K_n(w) for n = lo..hi: mpmath for the two lowest orders, then the
-    forward recurrence K_{n+1} = K_{n-1} + (2n/w) K_n, stable for K."""
-    ks = [mp.besselk(lo, w)]
-    if hi > lo:
-        ks.append(mp.besselk(lo + 1, w))
-        for n in range(lo + 1, hi):
-            ks.append(ks[-2] + (2 * n / w) * ks[-1])
-    return ks
 
 
 def _transform(coeffs, z, p, dps):
@@ -64,7 +55,7 @@ def _transform(coeffs, z, p, dps):
     while True:
         with mp.workdps(work):
             root = mp.sqrt(1 - 1j * mp.mpc(z))
-            ks = _bessel_k_run(lo, hi, 2 * root)
+            ks = k_run(lo, hi, 2 * root)
             terms = [mp.mpc(c) * root ** -nu * ks[abs(nu) - lo]
                      for (_, c), nu in zip(coeffs, orders)]
             total = mp.fsum(terms)
@@ -123,11 +114,8 @@ class HalfPlaneFunction:
 
     def modulus_bound(self):
         """integral of |phi|, a uniform bound for |f| on the half plane."""
-        total = 0.0
-        for atom, coeff in self.phi.atoms:
-            bare = TestFunction([(atom.kind, atom.k, 1.0, 0.0)])
-            total += abs(coeff) * bare.moment(0)
-        return total
+        return sum((abs(coeff) * flat_moment(atom.k)
+                    for atom, coeff in self.phi.atoms), 0.0)
 
     # ---------------------------------------------------- boundary values
 

@@ -18,13 +18,8 @@ Bailey, Jeyabalan and Li, falls below tolerance * 1e-3 on every order;
 a pass that reaches the level cap first is refused. The pass never calls
 a Bessel routine: the Bessel Gram rows only size its precision.
 
-The Gram values come from one module-level sequence K_0(2), K_1(2), ...
-held at the highest precision asked for so far plus guard bits, and
-rounded down for each rung. Its seeds are power series at z = 2:
-K_0(2) = sum H_k/(k!)^2 - gamma I_0(2) (DLMF 10.31.2, where ln(z/2)
-vanishes), and K_1(2) from the Wronskian I_0 K_1 + I_1 K_0 = 1/z (DLMF
-10.28.2). Higher orders follow from K_{n+1}(2) = K_{n-1}(2) + n K_n(2)
-(DLMF 10.29.1), which adds positive terms and so is stable forward.
+The Gram values are rounded down, rung by rung, from the K_n(2)
+sequence of the bessel module.
 
 Precision is set through the global mpmath context (mp.workprec and
 mp.workdps), which every thread of the process shares, so solving or
@@ -47,6 +42,7 @@ from mpmath import mp
 from mpmath.calculus.quadrature import TanhSinh
 
 from .atoms import _CACHE_SIZE, FLAT, TestFunction, _cached, log_seminorm
+from .bessel import k2_sequence
 from .conditions import HOLDS, check_condition
 from .errors import (ConditionRefused, IllConditioned, InvalidParameter,
                      TargetTooLarge)
@@ -55,6 +51,7 @@ from .weightseq import WeightSequence
 
 DEGREE_CAP = 32
 PRECISION_LADDER = (200, 400, 800, 1600, 2000)
+MAX_BITS = 4 * PRECISION_LADDER[-1]  # cap on min_bits
 DEFAULT_TOLERANCE = 1e-6
 OVERFLOW_LOG = math.log(np.finfo(float).max)  # ~709.78
 
@@ -186,49 +183,9 @@ def unit_ball_target(ws, degree, scale, seed):
     return SequenceTarget(ent, h=scale)
 
 
-_K2_GUARD = 20  # bits _K2 is held beyond the highest precision asked for
-_K2_BITS = 0    # precision of _K2, guard bits included
-_K2 = []        # K_0(2), K_1(2), ... at _K2_BITS bits
-
-
-def _k2_seeds():
-    """[K_0(2), K_1(2)] at the working precision, from the power series
-    of I_0(2), I_1(2) and K_0(2) and the Wronskian."""
-    tiny = mp.ldexp(1, -mp.prec - 8)
-    i0 = i1 = s = mp.zero
-    term = mp.one  # 1/(k!)^2
-    harmonic = mp.zero  # H_k = 1 + 1/2 + ... + 1/k
-    k = 0
-    while term > tiny:
-        i0 += term
-        i1 += term / (k + 1)
-        s += harmonic * term
-        k += 1
-        harmonic += mp.one / k
-        term /= k * k
-    k0 = s - mp.euler * i0
-    return [k0, (mp.one / 2 - i1 * k0) / i0]
-
-
-def _bessel_k2(count, bits):
-    """The list K_0(2), K_1(2), ... with at least count entries, accurate
-    beyond bits: reseeded when bits asks for more precision than it
-    holds, extended by the recurrence when it is too short."""
-    global _K2_BITS
-    if bits + _K2_GUARD > _K2_BITS:
-        with mp.workprec(bits + _K2_GUARD):
-            _K2[:] = _k2_seeds()
-        _K2_BITS = bits + _K2_GUARD
-    with mp.workprec(_K2_BITS):
-        while len(_K2) < count:
-            n = len(_K2) - 1
-            _K2.append(_K2[n - 1] + n * _K2[n])
-    return _K2
-
-
 def _gram_rows(n, bits):
     """Rows of the moment matrix 2 K_{p+k+1}(2) at the given precision."""
-    k2 = _bessel_k2(2 * n, bits)
+    k2 = k2_sequence(2 * n, bits)
     with mp.workprec(bits):
         vals = [2 * k2[m + 1] for m in range(2 * n - 1)]
     return tuple(tuple(vals[p:p + n]) for p in range(n))
@@ -366,7 +323,7 @@ def solve_moments(target, ws, override_gamma2=False,
     Raises TargetTooLarge beyond degree 32, ConditionRefused when the
     gate condition fails and no override is given, IllConditioned when
     the precision ladder tops out before the residuals meet tolerance.
-    min_bits skips the ladder's lower rungs.
+    min_bits, from 53 to MAX_BITS, skips the ladder's lower rungs.
     """
     if not isinstance(target, SequenceTarget):
         target = SequenceTarget(tuple(target))
@@ -382,6 +339,8 @@ def solve_moments(target, ws, override_gamma2=False,
         min_bits = int(min_bits)
         if min_bits < 53:
             raise InvalidParameter("precision below 53 bits")
+        if min_bits > MAX_BITS:
+            raise InvalidParameter("precision above %d bits" % MAX_BITS)
         ladder = tuple(b for b in PRECISION_LADDER if b >= min_bits) \
             or (min_bits,)
     solution = None

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .atoms import FLAT, GAUSS, TestFunction, _flat_moment
+from .atoms import FLAT, GAUSS, TestFunction
+from .bessel import flat_moment
 from .errors import (DepthExceeded, InvalidParameter, SingularMultiplier,
                      UnsupportedAtom)
 
@@ -34,7 +35,7 @@ def halfline_moment(phi, nu):
         if atom.kind == FLAT:
             if atom.reflected:
                 continue
-            total += coeff * _flat_moment(nu + atom.k)
+            total += coeff * flat_moment(nu + atom.k)
         else:
             n = nu + atom.k
             if n <= -1.0:

@@ -22,7 +22,6 @@ import math
 import sys
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     HorizonExceeded,
@@ -34,17 +33,51 @@ from .errors import (
 
 DEFAULT_HORIZON = 4096
 MIN_HORIZON = 64
+MAX_HORIZON = 2 ** 17  # room to interpolate a 2^16 sequence
 LC_TOL = 1e-12
 
 # factor the final ratio must exceed the first by, as divergence evidence
 _DIVERGENCE_WITNESS = math.log(10.0)
 _EXP_OVERFLOW = math.log(sys.float_info.max)
 
+_STIRLING_FROM = 16.0  # _lgamma's switch from math.lgamma to Stirling
+_HALF_LOG_2PI = 0.9189385332046728  # log(2 pi)/2, correctly rounded
+
+
+def _lgamma_scalar(x):
+    try:
+        return math.lgamma(x)
+    except ValueError:  # a pole: 0, -1, -2, ...
+        return math.inf
+
+
+def _lgamma(x):
+    """log|Gamma(x)| elementwise for real x, +inf at the poles.
+
+    Below 16 each value is math.lgamma's. From 16 up it is the Stirling
+    series (x - 1/2) log x - x + log(2 pi)/2 + 1/(12x) - 1/(360x^3)
+    + 1/(1260x^5) - 1/(1680x^7) (DLMF 5.11.1), whose first omitted term
+    is below 1.3e-14 there, against log Gamma(16) > 27. Small x is not
+    shifted up by the recurrence: the subtracted log-product would leave
+    log Gamma(1) and log Gamma(2) off zero by rounding.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    big = (x >= _STIRLING_FROM) & (x < math.inf)
+    v = x[big]
+    r = 1.0 / v
+    r2 = r * r
+    out[big] = ((v - 0.5) * np.log(v) - v + _HALF_LOG_2PI
+                + r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680))))
+    out[~big] = [_lgamma_scalar(float(u)) for u in x[~big]]
+    return out[()]
+
+
 _EXPR_NAMESPACE = {
     "log": np.log,
     "exp": np.exp,
     "sqrt": np.sqrt,
-    "lgamma": lambda x: gammaln(x),
+    "lgamma": _lgamma,
     "pow": np.power,
     "pi": math.pi,
     "e": math.e,
@@ -67,6 +100,9 @@ class WeightSequence:
         if horizon < MIN_HORIZON:
             raise InvalidParameter(
                 "horizon %d below minimum %d" % (horizon, MIN_HORIZON))
+        if horizon > MAX_HORIZON:
+            raise InvalidParameter(
+                "horizon %d above maximum %d" % (horizon, MAX_HORIZON))
         self.kind = str(kind)
         self.params = dict(params)
         self.horizon = horizon
@@ -250,7 +286,7 @@ def gevrey(alpha, horizon=DEFAULT_HORIZON):
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise InvalidParameter("gevrey exponent must be positive, got %r" % alpha)
-    vec = lambda ps: alpha * gammaln(np.asarray(ps) + 1.0)
+    vec = lambda ps: alpha * _lgamma(np.asarray(ps) + 1.0)
     return WeightSequence("gevrey", {"alpha": alpha}, horizon, log_weight_vec=vec)
 
 

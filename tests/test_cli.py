@@ -106,6 +106,29 @@ def test_moments_rejects_sequence_operator(capsys):
     assert "sequences" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["moments", "--function", FLAT0, "--max-order", "200"],
+    ["moments", "--function", '{"atoms":[["gaussian_poly",0,1.0,0.0]]}',
+     "--max-order", "400"],
+    ["seminorm", "--weight", '{"kind":"gevrey","params":{"alpha":0.5}}',
+     "--function", '{"atoms":[["flat_halfline",0,1e300,0.0]]}',
+     "--order-cap", "8"],
+])
+def test_non_finite_results_exit_one_without_json(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("order", ["-3", "1025"])
+def test_moment_order_outside_the_cap_is_a_usage_error(order, capsys):
+    code, out, err = run(["moments", "--function", '{"atoms": []}',
+                          "--max-order", order], capsys)
+    assert code == 2
+    assert out == ""
+
+
 def test_solve_emits_solution_and_lambda_norm(capsys):
     code, out, err = run(["solve", "--weight", GEVREY3, "--horizon", "256",
                           "--target", "[1.0, 0.5, 2.0]"], capsys)
@@ -210,3 +233,7 @@ def test_domain_errors_exit_one(capsys):
                           "--horizon", "10"], capsys)
     assert code == 1
     assert "error" in err
+    code, out, err = run(["solve", "--weight", GEVREY3, "--horizon", "256",
+                          "--target", "[1.0]", "--precision", "8001"], capsys)
+    assert code == 1
+    assert "above 8000 bits" in err

@@ -12,7 +12,7 @@ from gsmoment import (ConditionRefused, IllConditioned, InvalidParameter,
                       from_table, gevrey, lambda_norm, membership_report,
                       q_gevrey, reduction_roundtrip, solve_moments,
                       unit_ball_target)
-from gsmoment import solver
+from gsmoment import bessel, solver
 
 WS3 = gevrey(3.0, horizon=256)
 
@@ -106,9 +106,14 @@ def test_minimum_precision_knob():
         solve_moments(target, WS3, min_bits=32)
 
 
+def test_precision_above_the_cap_is_refused():
+    with pytest.raises(InvalidParameter, match="above 8000 bits"):
+        solve_moments(SequenceTarget((1.0,)), WS3, min_bits=8001)
+
+
 def _reset_bessel_sequence(monkeypatch):
-    monkeypatch.setattr(solver, "_K2", [])
-    monkeypatch.setattr(solver, "_K2_BITS", 0)
+    monkeypatch.setattr(bessel, "_K2", [])
+    monkeypatch.setattr(bessel, "_K2_BITS", 0)
 
 
 def test_gram_values_match_the_bessel_routine(monkeypatch):
@@ -121,7 +126,7 @@ def test_gram_values_match_the_bessel_routine(monkeypatch):
                 got = rows[max(0, m - 12)][min(m, 12)]
                 assert abs(got - ref) <= mp.ldexp(ref, 4 - bits)
     _reset_bessel_sequence(monkeypatch)
-    seeds = solver._bessel_k2(2, 800)
+    seeds = bessel.k2_sequence(2, 800)
     with mp.workprec(800):
         for nu in (0, 1):
             ref = mp.besselk(nu, 2)

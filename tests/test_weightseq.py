@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsmoment import (DEFAULT_HORIZON, HorizonExceeded, IndexOutOfHorizon,
-                      InvalidParameter, NotAWeightSequence,
+from gsmoment import (DEFAULT_HORIZON, MAX_HORIZON, HorizonExceeded,
+                      IndexOutOfHorizon, InvalidParameter, NotAWeightSequence,
                       RequiresLogConvexity, associated_function, from_expr,
                       from_table, gevrey, is_log_convex, make_sequence,
-                      q_gevrey)
+                      q_gevrey, two_interpolate)
+from gsmoment.weightseq import _lgamma
 
 
 def test_gevrey_log_values_match_factorial_powers():
@@ -53,6 +54,40 @@ def test_bad_parameters_rejected():
         q_gevrey(1.0)
     with pytest.raises(InvalidParameter):
         gevrey(1.0, horizon=3)
+
+
+def test_horizon_above_the_cap_is_refused():
+    with pytest.raises(InvalidParameter, match="above maximum"):
+        gevrey(2.0, horizon=MAX_HORIZON + 1)
+    base = gevrey(2.0, horizon=MAX_HORIZON // 2)
+    assert two_interpolate(base).interpolated.horizon == MAX_HORIZON
+    with pytest.raises(InvalidParameter):
+        two_interpolate(gevrey(2.0, horizon=MAX_HORIZON // 2 + 1))
+
+
+def _lgamma_gap(xs):
+    ref = np.array([math.lgamma(x) for x in xs])
+    return np.max(np.abs(_lgamma(xs) - ref) / np.maximum(1.0, np.abs(ref)))
+
+
+def test_lgamma_matches_the_standard_library():
+    rng = np.random.default_rng(7)
+    below = rng.uniform(-15.7, 16.0, 20000)
+    below = below[below != np.round(below)]
+    for xs in (np.arange(1.0, 2.0 ** 17 + 2), np.arange(-15.5, 5000.0),
+               rng.uniform(0.01, 1e5, 50000), below):
+        assert _lgamma_gap(xs) <= 1e-14
+    assert np.all(_lgamma(np.arange(-15.0, 1.0)) == math.inf)
+    assert _lgamma(np.asarray(5.0)) == pytest.approx(math.log(24.0),
+                                                     rel=1e-15)
+    assert _lgamma(20.0) == pytest.approx(math.lgamma(20.0), rel=1e-15)
+
+
+def test_steep_gevrey_keeps_exact_normalization():
+    # log M_0 = 1000 lgamma(1) must stay exactly 0 for the M_0 = 1 check
+    ws = gevrey(1000.0)
+    assert ws.log_weight(0) == 0.0
+    assert ws.log_weight(1) == 0.0
 
 
 def test_expr_table_matches_direct_evaluation():
