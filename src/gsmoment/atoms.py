@@ -147,16 +147,23 @@ def _atom_log_parts(atom, x, m):
     return sign, logabs
 
 
+def gauss_moment(n):
+    """Gamma((n + 1) / 2), the integral of x^n exp(-x^2) over the line for
+    even n and twice that over the half line for any real n > -1; inf
+    beyond float range, as for flat_moment."""
+    try:
+        return math.gamma((n + 1) / 2.0)
+    except OverflowError:
+        return math.inf
+
+
 def _atom_moment(atom, p):
     """Closed-form p-th moment of the bare atom."""
     if atom.kind == FLAT:
         value = flat_moment(p + atom.k)
     else:
         n = p + atom.k
-        if n % 2 == 1:
-            value = 0.0
-        else:
-            value = math.gamma((n + 1) / 2.0)
+        value = 0.0 if n % 2 == 1 else gauss_moment(n)
     if atom.reflected:
         value *= (-1.0) ** p
     return value

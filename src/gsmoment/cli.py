@@ -27,8 +27,8 @@ from .conditions import DEFAULT_CONDITIONS, INCONCLUSIVE, classify
 from .errors import GsmomentError, InvalidParameter
 from .halfplane import borel_ritt_solve
 from .interpolating import interpolation_agreement, two_interpolate
-from .solver import (SequenceTarget, lambda_norm, membership_report,
-                     reduction_roundtrip, solve_moments)
+from .solver import (OVERFLOW_LOG, SequenceTarget, lambda_norm,
+                     membership_report, reduction_roundtrip, solve_moments)
 from .transforms import OPERATORS, apply_operator
 from .weightseq import make_sequence
 
@@ -174,6 +174,10 @@ def _cmd_seminorm(args):
         }
         return payload, EXIT_OK
     logv, where = log_seminorm(phi, args.order_cap, args.scale, ws)
+    if logv > OVERFLOW_LOG:
+        raise InvalidParameter(
+            "weighted sup-norm overflows a double: log_value %s"
+            % float(logv))
     payload = {
         "kind": "weighted_sup",
         "weight": ws.descriptor(),
@@ -202,10 +206,7 @@ def _cmd_moments(args):
         applied.append(tag)
     moments = []
     for p in range(args.max_order + 1):
-        try:
-            mu = complex(phi.moment(p))
-        except OverflowError:  # math.gamma, for a Gaussian atom
-            mu = complex(math.inf)
+        mu = complex(phi.moment(p))
         if not cmath.isfinite(mu):
             raise InvalidParameter(
                 "moment of order %d overflows a double" % p)

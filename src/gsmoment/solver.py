@@ -11,12 +11,17 @@ to reproduce the moments; every residual reported here comes from
 independent arbitrary-precision quadrature against those coefficients.
 
 That quadrature is one tanh-sinh pass (Takahasi-Mori) over all orders at
-once: each node evaluates phi once, at the largest cancellation headroom
-over the orders, and adds w phi(t) t^p into every running sum. Levels
-halve the step until the gap between two levels, the error estimate of
-Bailey, Jeyabalan and Li, falls below tolerance * 1e-3 on every order;
-a pass that reaches the level cap first is refused. The pass never calls
-a Bessel routine: the Bessel Gram rows only size its precision.
+once. Since phi(t) = exp(-t - 1/t) sum_k c_k t^k is linear in the
+coefficients, each level's sum for order p is sum_k c_k Q[p + k], where Q
+holds the tanh-sinh sums of t^m exp(-t - 1/t), m = 0..2P, over the levels
+so far. Q does not depend on the solution: its level tables are computed
+once in real arithmetic and kept in the bounded _HANKEL_CACHE, so a warm
+verified solve evaluates phi nowhere. The working precision is the
+largest cancellation headroom over the orders. Levels halve the step
+until the gap between two levels, the error estimate of Bailey,
+Jeyabalan and Li, falls below tolerance * 1e-3 on every order; a pass
+that reaches the level cap first is refused. The pass never calls a
+Bessel routine: the Bessel Gram rows only size its precision.
 
 The Gram values are rounded down, rung by rung, from the K_n(2)
 sequence of the bessel module.
@@ -62,6 +67,7 @@ _DPS_GRID = 20    # pass precisions round up to this, so few node sets recur
 _TANH_SINH = TanhSinh(mp)
 
 _NODE_CACHE = OrderedDict()
+_HANKEL_CACHE = OrderedDict()
 
 
 def _level_nodes(points, level, prec):
@@ -76,29 +82,66 @@ def _level_nodes(points, level, prec):
     return _cached(_NODE_CACHE, (points, level, prec), make)
 
 
-def _shared_node_moments(sol, f, u, points, extra_dps=0):
-    """Integrals over the breakpoints of f(x) u(x)^j for every order j of
-    the solution's target, from one evaluation of f per tanh-sinh node,
-    at the solution's largest headroom plus extra_dps digits.
+def _flat_envelope(t):
+    """exp(-t - 1/t), the flat atom envelope; 0 for t <= 0."""
+    return mp.exp(-t - 1 / t) if t > 0 else mp.zero
+
+
+def _identity(t):
+    return t
+
+
+def _square_envelope(x):
+    """2x exp(-x^2 - 1/x^2): the flat envelope pushed through x -> x^2."""
+    return 2 * x * _flat_envelope(x * x)
+
+
+def _square(x):
+    return x * x
+
+
+def _hankel_table(f0, u, points, level, count):
+    """Sums of w f0(x) u(x)^m, m = 0..count-1, over the tanh-sinh nodes
+    new at this level, in real arithmetic at the working precision."""
+    def make():
+        row = [mp.zero] * count
+        for x, w in _level_nodes(points, level, mp.prec):
+            v = w * f0(x)
+            ux = u(x)
+            for m in range(count):
+                row[m] += v
+                v *= ux
+        return tuple(row)
+    return _cached(_HANKEL_CACHE, (points, f0, u, level, mp.prec, count),
+                   make)
+
+
+def _shared_node_moments(sol, f0, u, points, extra_dps=0):
+    """Integrals over the breakpoints of f0(x) phi_u(x) u(x)^j for every
+    order j of the solution's target, where phi_u = sum_k c_k u^k, at the
+    solution's largest headroom plus extra_dps digits.
+
+    By linearity each level's sum is sum_k c_k Q[j + k], where Q holds the
+    quadrature moments of f0 u^m over the levels so far. Q does not
+    depend on the solution, so its level tables are cached.
 
     Stops at the first level whose sums all moved by at most
     tolerance * 1e-3 of max(1, |a_j|) since the level before; raises
     IllConditioned when _MAX_LEVEL is reached first."""
-    dps = max(sol._headroom_dps(j) for j in range(sol.degree + 1)) + extra_dps
+    dps = max(sol._headroom_dps()) + extra_dps
+    coeffs = sol._mp_coeffs
+    n = len(coeffs)
     scales = [max(1.0, abs(a)) for a in sol.target.entries]
     slack = sol.tolerance * 1e-3
     with mp.workdps(_DPS_GRID * -(-dps // _DPS_GRID)):
-        raw = [mp.zero] * len(scales)  # weighted sums over levels so far
+        moments = [mp.zero] * (2 * n - 1)  # Q over the levels so far
         last = None
         for level in range(1, _MAX_LEVEL + 1):
-            for x, w in _level_nodes(points, level, mp.prec):
-                v = w * f(x)
-                ux = u(x)
-                for j in range(len(raw)):
-                    raw[j] += v
-                    v *= ux
+            row = _hankel_table(f0, u, points, level, 2 * n - 1)
+            moments = [q + r for q, r in zip(moments, row)]
             step = mp.ldexp(1, -level)
-            sums = [step * r for r in raw]
+            sums = [step * mp.fdot(coeffs, moments[j:j + n])
+                    for j in range(n)]
             if last is not None:
                 gap = max(float(abs(s - q)) / c
                           for s, q, c in zip(sums, last, scales))
@@ -225,6 +268,7 @@ class MomentSolution:
         self.tolerance = tolerance
         self._function = None
         self._quadrature = None
+        self._headroom = None
 
     @property
     def degree(self):
@@ -253,23 +297,27 @@ class MomentSolution:
             self._function = TestFunction(specs)
         return self._function
 
-    def _headroom_dps(self, p):
-        """Decimal digits needed so quadrature survives the cancellation
-        between large coefficient terms and a small moment."""
-        n = self.degree + 1
-        rows = _gram_rows(n, self.precision_bits)
-        with mp.workprec(self.precision_bits):
-            top = -mp.inf
-            for k, c in enumerate(self._mp_coeffs):
-                if c == 0:
-                    continue
-                t = mp.log(abs(c), 10) + mp.log(rows[p][k], 10)
-                top = max(top, t)
-            if top == -mp.inf:
-                return 30
-            tgt = max(1.0, abs(self.target.entries[p]))
-            extra = float(top - mp.log(tgt, 10))
-        return 30 + max(0, int(math.ceil(extra)))
+    def _headroom_dps(self):
+        """Decimal digits, one entry per target order, needed so that
+        quadrature survives the cancellation between large coefficient
+        terms and a small moment."""
+        if self._headroom is None:
+            n = self.degree + 1
+            rows = _gram_rows(n, self.precision_bits)
+            with mp.workprec(self.precision_bits):
+                logc = [(k, mp.log(abs(c), 10))
+                        for k, c in enumerate(self._mp_coeffs) if c != 0]
+                logv = [mp.log(v, 10) for v in rows[0] + rows[-1][1:]]
+                out = []
+                for p, a_p in enumerate(self.target.entries):
+                    if not logc:
+                        out.append(30)
+                        continue
+                    top = max(lc + logv[p + k] for k, lc in logc)
+                    extra = float(top - mp.log(max(1.0, abs(a_p)), 10))
+                    out.append(30 + max(0, int(math.ceil(extra))))
+            self._headroom = tuple(out)
+        return self._headroom
 
     def eval_mp(self, t, m=None):
         """phi(t) at full precision (no derivatives; t >= 0)."""
@@ -298,7 +346,7 @@ class MomentSolution:
                                    % (p, self.degree))
         if self._quadrature is None:
             self._quadrature = _shared_node_moments(
-                self, self.eval_mp, lambda t: t, _HALF_LINE_POINTS)
+                self, _flat_envelope, _identity, _HALF_LINE_POINTS)
         return self._quadrature[p]
 
     def to_dict(self):
@@ -459,9 +507,8 @@ def _pushforward_moment_quadrature(sol):
     of the half solution: whole-line moment 2j of the even half pushed
     through x -> x^2 with weight 2x, and moment 2j+1 of the odd half
     pushed with weight 2, are both this integral."""
-    return _shared_node_moments(
-        sol, lambda x: 2 * x * sol.eval_mp(x * x), lambda x: x * x,
-        _SQUARE_POINTS, extra_dps=10)
+    return _shared_node_moments(sol, _square_envelope, _square,
+                                _SQUARE_POINTS, extra_dps=10)
 
 
 def reduction_roundtrip(target, ws, override_gamma2=False,

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .atoms import FLAT, GAUSS, TestFunction
+from .atoms import FLAT, GAUSS, TestFunction, gauss_moment
 from .bessel import flat_moment
 from .errors import (DepthExceeded, InvalidParameter, SingularMultiplier,
                      UnsupportedAtom)
@@ -41,7 +41,7 @@ def halfline_moment(phi, nu):
             if n <= -1.0:
                 raise InvalidParameter(
                     "half-line moment diverges for power %s" % str(nu))
-            total += coeff * math.gamma((n + 1.0) / 2.0) / 2.0
+            total += coeff * (gauss_moment(n) / 2.0)
     return total.real if phi.is_real else total
 
 

@@ -65,6 +65,13 @@ def test_gaussian_moments_closed_form():
     assert gauss_poly(3).moment(2) == 0.0
 
 
+def test_moments_beyond_float_range_are_infinite():
+    # Gamma(200.5) and 2 K_401(2) both overflow a double
+    assert gauss_poly(0).moment(400) == math.inf
+    assert flat(0).moment(400) == math.inf
+    assert gauss_poly(0).moment(401) == 0.0
+
+
 def test_moments_match_numerical_quadrature():
     from scipy.integrate import quad
     phi = flat(1) + 0.5 * flat(0)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -119,6 +120,18 @@ def test_non_finite_results_exit_one_without_json(argv, capsys):
     assert code == 1
     assert out == ""
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+
+
+def test_overflowing_seminorm_is_refused_without_a_warning(capsys):
+    argv = ["seminorm", "--weight", '{"kind":"gevrey","params":{"alpha":0.5}}',
+            "--function", '{"atoms":[["flat_halfline",0,1e300,0.0]]}',
+            "--order-cap", "8"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "log_value" in err
 
 
 @pytest.mark.parametrize("order", ["-3", "1025"])

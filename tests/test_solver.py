@@ -241,6 +241,72 @@ def test_verification_evaluates_phi_once_per_shared_node(monkeypatch):
         sol.moment_quadrature(13)
 
 
+def test_warm_verification_evaluates_no_phi(monkeypatch):
+    solve_moments(unit_ball_target(WS3, 12, 0.25, seed=1), WS3)
+    calls = _count_eval_mp(monkeypatch)
+    exps = [0]
+    plain_exp = mp.exp
+
+    def counting_exp(*args, **kwargs):
+        exps[0] += 1
+        return plain_exp(*args, **kwargs)
+    monkeypatch.setattr(mp, "exp", counting_exp)
+    sol = solve_moments(unit_ball_target(WS3, 12, 0.25, seed=2), WS3)
+    assert max(sol.residuals) < 1e-25
+    assert calls[0] == 0
+    assert exps[0] == 0
+
+
+def _direct_pass(sol, f, u, points, extra_dps=0):
+    """The verifier's sums the direct way: f(x) u(x)^j accumulated at every
+    node of the same levels, at the same precision, with the same stop
+    rule."""
+    n = sol.degree + 1
+    dps = max(sol._headroom_dps()) + extra_dps
+    scales = [max(1.0, abs(a)) for a in sol.target.entries]
+    with mp.workdps(solver._DPS_GRID * -(-dps // solver._DPS_GRID)):
+        raw = [mp.zero] * n
+        last = None
+        for level in range(1, solver._MAX_LEVEL + 1):
+            for x, w in solver._level_nodes(points, level, mp.prec):
+                v = w * f(x)
+                for j in range(n):
+                    raw[j] += v
+                    v *= u(x)
+            sums = [mp.ldexp(1, -level) * r for r in raw]
+            if last is not None and max(
+                    float(abs(s - q)) / c
+                    for s, q, c in zip(sums, last, scales)) \
+                    <= sol.tolerance * 1e-3:
+                return sums
+            last = sums
+    raise AssertionError("direct pass unresolved")
+
+
+def _assert_sums_agree(got, ref):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert float(abs(g - r)) <= 1e-30 * max(1.0, float(abs(r)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hankel_sums_match_a_direct_pass(seed):
+    sol = solve_moments(unit_ball_target(WS3, 12, 0.25, seed=seed), WS3)
+    ref = _direct_pass(sol, sol.eval_mp, lambda t: t,
+                       solver._HALF_LINE_POINTS)
+    _assert_sums_agree([sol.moment_quadrature(p) for p in range(13)], ref)
+
+
+def test_pushforward_sums_match_a_direct_pass():
+    red = reduction_roundtrip(unit_ball_target(WS3, 8, 1.0, seed=3), WS3)
+    assert max(red.residuals) < 1e-25
+    for sol in (red.even_solution, red.odd_solution):
+        ref = _direct_pass(sol, lambda x: 2 * x * sol.eval_mp(x * x),
+                           lambda x: x * x, solver._SQUARE_POINTS,
+                           extra_dps=10)
+        _assert_sums_agree(solver._pushforward_moment_quadrature(sol), ref)
+
+
 def test_unresolved_quadrature_is_refused(monkeypatch):
     monkeypatch.setattr(solver, "_MAX_LEVEL", 5)
     target = unit_ball_target(WS3, 12, 0.25, seed=0)
@@ -281,4 +347,7 @@ def test_module_caches_stay_bounded():
         for level in (1, 2, 3):
             with mp.workdps(dps):
                 solver._level_nodes(solver._HALF_LINE_POINTS, level, mp.prec)
+                solver._hankel_table(solver._flat_envelope, solver._identity,
+                                     solver._HALF_LINE_POINTS, level, 3)
         assert len(solver._NODE_CACHE) <= solver._CACHE_SIZE
+        assert len(solver._HANKEL_CACHE) <= solver._CACHE_SIZE

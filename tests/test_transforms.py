@@ -22,6 +22,14 @@ def _quad_halfline(f, p):
     return val
 
 
+def test_halfline_moments_beyond_float_range_are_infinite():
+    assert halfline_moment(gauss_poly(0), 400) == math.inf
+    assert halfline_moment(gauss_poly(0), 401) == math.inf
+    assert halfline_moment(flat(0), 400) == math.inf
+    assert halfline_moment(gauss_poly(0), 4) == pytest.approx(
+        0.75 * math.sqrt(math.pi) / 2.0, rel=1e-15)
+
+
 def test_multiply_divide_by_x_shift_the_power():
     phi = flat(0, 2.0)
     up = multiply_by_x(phi)
