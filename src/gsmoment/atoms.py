@@ -157,6 +157,22 @@ def gauss_moment(n):
         return math.inf
 
 
+def moment_sum(terms, order):
+    """The sum of c * m over (c, m) pairs of complex coefficients and real
+    moments, with real and imaginary parts multiplied apart, so that a
+    zero part of c times an infinite m adds 0; infinite parts of opposite
+    sign are refused."""
+    re = im = 0.0
+    for c, m in terms:
+        if c.real:
+            re += c.real * m
+        if c.imag:
+            im += c.imag * m
+    if math.isnan(re) or math.isnan(im):
+        raise InvalidParameter("moment of order %s is inf - inf" % order)
+    return complex(re, im)
+
+
 def _atom_moment(atom, p):
     """Closed-form p-th moment of the bare atom."""
     if atom.kind == FLAT:
@@ -282,9 +298,8 @@ class TestFunction:
         """p-th moment over the atom supports, by closed form."""
         if p < 0:
             raise InvalidParameter("moment order must be >= 0")
-        total = 0j
-        for atom, coeff in self.atoms:
-            total += coeff * _atom_moment(atom, p)
+        total = moment_sum(((c, _atom_moment(a, p)) for a, c in self.atoms),
+                           p)
         return total.real if self.is_real else total
 
     def to_dict(self):

@@ -13,10 +13,14 @@ For the flat atoms t^k e^{-t-1/t} the integral has a closed form
     integral of (it)^p t^k e^{-t-1/t} e^{itz} dt = 2 i^p a^{-nu/2} K_nu(2 sqrt a).
 
 Every evaluation sums these terms in arbitrary precision, over one run
-of K orders from the bessel module. The terms of a moment solution are
-large and cancel near the boundary, so the working precision grows by
-the digits the sum loses, read off the terms themselves, until the
-requested digits survive.
+of K orders from the bessel module; one run serves every order p asked
+for at a point. Since Re a >= 1 on the closed half plane, w = 2 sqrt a
+has |w| >= 2 and |arg w| < pi/4, where the run's seeds K_0(w), K_1(w)
+come from Steed's continued fraction once |w| is large enough (see
+bessel.py). The terms of a moment solution are large and cancel near
+the boundary, so the working precision grows by the digits the sum
+loses, read off the terms themselves, until the requested digits
+survive.
 """
 
 from __future__ import annotations
@@ -42,32 +46,41 @@ _MAX_WORK_DPS = 2000  # refuse sums that cancel below this precision
 _I_POWER = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
-def _transform(coeffs, z, p, dps):
-    """f^(p)(z) for phi = sum of c_k t^k e^{-t-1/t} over the (k, c_k)
-    pairs, correct to dps significant digits."""
+def _transform(coeffs, z, ps, dps):
+    """[f^(p)(z) for p in ps] for phi = sum of c_k t^k e^{-t-1/t} over
+    the (k, c_k) pairs, each correct to dps significant digits. One K run
+    per working precision serves every order still open; an order whose
+    sum cancels asks for more digits, and the next pass works at the
+    most any open order asked for."""
     if not coeffs:
-        return mp.mpc(0)
-    orders = [k + p + 1 for k, _ in coeffs]
-    # K_{-nu} = K_nu, so the run covers |nu| only
-    lo = min(abs(nu) for nu in orders)
-    hi = max(abs(nu) for nu in orders)
-    work = dps + _GUARD_DPS
-    while True:
+        return [mp.mpc(0)] * len(ps)
+    values = {}
+    need = dict.fromkeys(ps, dps + _GUARD_DPS)
+    while need:
+        work = max(need.values())
+        # K_{-nu} = K_nu, so the run covers |nu| only
+        sizes = [abs(k + p + 1) for k, _ in coeffs for p in need]
+        lo, hi = min(sizes), max(sizes)
         with mp.workdps(work):
             root = mp.sqrt(1 - 1j * mp.mpc(z))
             ks = k_run(lo, hi, 2 * root)
-            terms = [mp.mpc(c) * root ** -nu * ks[abs(nu) - lo]
-                     for (_, c), nu in zip(coeffs, orders)]
-            total = mp.fsum(terms)
-            top = max(abs(t) for t in terms)
-            lost = work if total == 0 else \
-                max(0, int(math.ceil(float(mp.log10(top / abs(total))))))
-            if work - lost >= dps:
-                return 2 * mp.mpc(_i_power(p)) * total
-        if work >= _MAX_WORK_DPS:
-            raise IllConditioned(
-                "half-plane value cancels beyond %d digits" % _MAX_WORK_DPS)
-        work = min(_MAX_WORK_DPS, max(work + 1, dps + lost + _GUARD_DPS))
+            for p in list(need):
+                terms = [mp.mpc(c) * root ** -(k + p + 1)
+                         * ks[abs(k + p + 1) - lo] for k, c in coeffs]
+                total = mp.fsum(terms)
+                top = max(abs(t) for t in terms)
+                lost = work if total == 0 else \
+                    max(0, int(math.ceil(float(mp.log10(top / abs(total))))))
+                if work - lost >= dps:
+                    values[p] = 2 * mp.mpc(_i_power(p)) * total
+                    del need[p]
+                elif work >= _MAX_WORK_DPS:
+                    raise IllConditioned("half-plane value cancels beyond "
+                                         "%d digits" % _MAX_WORK_DPS)
+                else:
+                    need[p] = min(_MAX_WORK_DPS,
+                                  max(work + 1, dps + lost + _GUARD_DPS))
+    return [values[p] for p in ps]
 
 
 class HalfPlaneFunction:
@@ -107,7 +120,7 @@ class HalfPlaneFunction:
         if p > DERIVATIVE_CAP:
             raise InvalidParameter(
                 "derivative order %d beyond cap %d" % (p, DERIVATIVE_CAP))
-        return complex(_transform(self._coeffs, z, p, _FLOAT_DPS))
+        return complex(_transform(self._coeffs, z, (p,), _FLOAT_DPS)[0])
 
     def __call__(self, z):
         return self.eval_derivative(z, 0)
@@ -150,7 +163,7 @@ class HalfPlaneFunction:
         zc = complex(z)
         if zc.imag < 0.0:
             raise InvalidParameter("the domain is the closed upper half plane")
-        value = _transform(self._coeffs, zc, p, dps)
+        value = _transform(self._coeffs, zc, (p,), dps)[0]
         with mp.workdps(dps):
             return +value
 
@@ -192,23 +205,24 @@ def holomorphy_residual(f, z, delta=5e-5, dps=30):
 
 def uhf_norm(f, ws, h, p_cap=8, radii=None, angles=32):
     """sup over p <= p_cap and a polar grid in the open half plane of
-    h^p |f^(p)(z)| / M_p."""
+    h^p |f^(p)(z)| / M_p. Every order at a point comes from one K run."""
     if p_cap > DERIVATIVE_CAP:
         raise InvalidParameter("order cap beyond %d" % DERIVATIVE_CAP)
     if radii is None:
         radii = np.geomspace(1e-3, 1e3, 12)
     lnh = math.log(h)
-    logw = [float(ws.log_weight(p)) for p in range(p_cap + 1)]
+    orders = range(p_cap + 1)
+    logw = [float(ws.log_weight(p)) for p in orders]
     best = -math.inf
-    for p in range(p_cap + 1):
-        for r in radii:
-            for j in range(angles):
-                theta = math.pi * (j + 0.5) / angles
-                z = complex(r * math.cos(theta), r * math.sin(theta))
-                v = abs(f.eval_derivative(z, p))
-                if v <= 0.0:
-                    continue
-                best = max(best, p * lnh - logw[p] + math.log(v))
+    for r in radii:
+        for j in range(angles):
+            theta = math.pi * (j + 0.5) / angles
+            z = complex(r * math.cos(theta), r * math.sin(theta))
+            values = _transform(f._coeffs, z, orders, _FLOAT_DPS)
+            for p, value in zip(orders, values):
+                v = abs(complex(value))
+                if v > 0.0:
+                    best = max(best, p * lnh - logw[p] + math.log(v))
     return 0.0 if best == -math.inf else float(np.exp(best))
 
 

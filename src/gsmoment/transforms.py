@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .atoms import FLAT, GAUSS, TestFunction, gauss_moment
+from .atoms import FLAT, GAUSS, TestFunction, gauss_moment, moment_sum
 from .bessel import flat_moment
 from .errors import (DepthExceeded, InvalidParameter, SingularMultiplier,
                      UnsupportedAtom)
@@ -30,18 +30,19 @@ MAX_CHAIN_ORDER = 8
 def halfline_moment(phi, nu):
     """Integral of x^nu phi(x) over (0, inf), closed form. nu may be any
     real for flat atoms; Gaussian atoms need nu + k > -1."""
-    total = 0j
+    terms = []
     for atom, coeff in phi.atoms:
         if atom.kind == FLAT:
             if atom.reflected:
                 continue
-            total += coeff * flat_moment(nu + atom.k)
+            terms.append((coeff, flat_moment(nu + atom.k)))
         else:
             n = nu + atom.k
             if n <= -1.0:
                 raise InvalidParameter(
                     "half-line moment diverges for power %s" % str(nu))
-            total += coeff * (gauss_moment(n) / 2.0)
+            terms.append((coeff, gauss_moment(n) / 2.0))
+    total = moment_sum(terms, nu)
     return total.real if phi.is_real else total
 
 

@@ -72,6 +72,18 @@ def test_moments_beyond_float_range_are_infinite():
     assert gauss_poly(0).moment(401) == 0.0
 
 
+def test_complex_coefficients_times_infinite_moments():
+    # real and imaginary parts are scaled apart: a zero part adds 0, not
+    # 0 * inf = nan
+    assert flat(0, 1j).moment(400) == complex(0.0, math.inf)
+    assert gauss_poly(0, 1j).moment(400) == complex(0.0, math.inf)
+    assert (flat(0) + flat(1, 1j)).moment(400) == complex(math.inf, math.inf)
+    assert (flat(0) + flat(1, 1j)).moment(3) == pytest.approx(
+        flat(0).moment(3) + 1j * flat(1).moment(3), rel=1e-15)
+    with pytest.raises(InvalidParameter, match="order 400"):
+        (flat(0) - flat(1)).moment(400)
+
+
 def test_moments_match_numerical_quadrature():
     from scipy.integrate import quad
     phi = flat(1) + 0.5 * flat(0)

@@ -1,9 +1,12 @@
 """Half-plane transforms: evaluation, boundary values, prescribed jets."""
 
+import cmath
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 
 import mpmath as mp
 import numpy as np
@@ -85,6 +88,55 @@ def test_solution_backed_values_survive_cancellation_near_the_boundary():
     for z in (0.01j, 0.05 + 0.05j, 0.1j):
         ref = _quad_transform(sol.eval_mp, z, 0, dps)
         assert f.eval_derivative(z) == pytest.approx(ref, rel=1e-10)
+
+
+def _halfplane_source():
+    # the benchmark's fixed degree-12 half-plane source: a_p = u_p (p!)^3
+    # / h^p at h = 0.25, u_p uniform in the unit disk, drawn in that order
+    # from the Python stream "0/halfplane-source"
+    rng = random.Random("0/halfplane-source")
+    entries = []
+    for p in range(13):
+        u = math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+        entries.append(u * math.exp(3.0 * math.lgamma(p + 1)
+                                    - p * math.log(0.25)))
+    target = SequenceTarget(tuple(entries), h=0.25)
+    return solve_moments(target, WS3, verify=False)
+
+
+def test_slow_band_value_is_fast_and_right():
+    # w = 2 sqrt(1 - iz) has |w| ~ 20 here, where mpmath's besselk falls
+    # back to cancelling 1F1 sums and took ~0.3 s per evaluation
+    sol = _halfplane_source()
+    f = HalfPlaneFunction(sol)
+    z, p = 0.3 + 100j, 3
+    f.eval_derivative(z, p)
+    start = time.perf_counter()
+    value = f.eval_derivative(z, p)
+    elapsed = time.perf_counter() - start
+    top = max(abs(c) for c in sol.coefficient_values)
+    ref = _quad_transform(sol.eval_mp, z, p,
+                          30 + max(0, math.ceil(math.log10(top))))
+    assert value == pytest.approx(ref, rel=1e-12)
+    assert complex(f.eval_mp(z, p, dps=30)) == pytest.approx(ref, rel=1e-12)
+    assert elapsed < 0.1
+
+
+def test_norm_is_the_maximum_over_orders_and_points():
+    rng = random.Random("uhf-norm-jet")
+    jet = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(9)]
+    radii, angles, p_cap = (0.05, 1.0, 8.0, 50.0, 400.0), 4, 4
+    points = [r * cmath.exp(1j * math.pi * (j + 0.5) / angles)
+              for r in radii for j in range(angles)]
+    for f in (HalfPlaneFunction(flat(0)), borel_ritt_solve(jet, WS3).function):
+        moduli = [[abs(f.eval_derivative(z, p)) for z in points]
+                  for p in range(p_cap + 1)]
+        for h in (0.5, 2.0):
+            want = max(h ** p * v / math.exp(float(WS3.log_weight(p)))
+                       for p, row in enumerate(moduli) for v in row)
+            got = uhf_norm(f, WS3, h, p_cap=p_cap, radii=radii,
+                           angles=angles)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 _NO_SCIPY_SCRIPT = """

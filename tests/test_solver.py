@@ -1,6 +1,8 @@
 """Finite moment problem solver: gating, residuals, reduction."""
 
+import ast
 import math
+import os
 import re
 
 import numpy as np
@@ -12,7 +14,7 @@ from gsmoment import (ConditionRefused, IllConditioned, InvalidParameter,
                       from_table, gevrey, lambda_norm, membership_report,
                       q_gevrey, reduction_roundtrip, solve_moments,
                       unit_ball_target)
-from gsmoment import bessel, solver
+from gsmoment import bessel, halfplane, solver
 
 WS3 = gevrey(3.0, horizon=256)
 
@@ -334,6 +336,42 @@ def test_verifiers_call_no_bessel_routine(monkeypatch):
     red = reduction_roundtrip(SequenceTarget((2.0, 0.5, -1.0, 1.0, 3.0)),
                               WS3)
     assert max(red.residuals) < 1e-20
+
+
+def test_verifiers_call_no_half_plane_k_routine(monkeypatch):
+    # the half-plane K runs, their CF2 seeds and mpmath's besselk all
+    # raise: the quadrature checks share no code with the closed forms
+    def no_bessel(*args, **kwargs):
+        raise AssertionError("a verifier called a Bessel routine")
+    monkeypatch.setattr(mp, "besselk", no_bessel)
+    monkeypatch.setattr(bessel, "k_run", no_bessel)
+    monkeypatch.setattr(bessel, "_k01_cf2", no_bessel)
+    monkeypatch.setattr(halfplane, "k_run", no_bessel)
+    target = SequenceTarget((2.0, -1.0, 3.0, 1.0))
+    fresh = solve_moments(target, WS3, verify=False)
+    for p, a_p in enumerate(target.entries):
+        q = complex(fresh.moment_quadrature(p))
+        assert abs(q - a_p) / max(1.0, abs(a_p)) < 1e-20
+    red = reduction_roundtrip(SequenceTarget((2.0, 0.5, -1.0, 1.0, 3.0)),
+                              WS3)
+    assert max(red.residuals) < 1e-20
+
+
+def test_benchmark_reference_imports_nothing_from_the_package():
+    # perfbench/refs.py checks every half-plane value with its own
+    # mp.besselk sum, so it must not reach the package's K routines
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "refs.py")
+    with open(path) as handle:
+        tree = ast.parse(handle.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+    assert names
+    assert not any(n.split(".")[0] == "gsmoment" for n in names)
 
 
 def test_module_caches_stay_bounded():

@@ -30,6 +30,14 @@ def test_halfline_moments_beyond_float_range_are_infinite():
         0.75 * math.sqrt(math.pi) / 2.0, rel=1e-15)
 
 
+def test_complex_coefficients_times_infinite_halfline_moments():
+    assert halfline_moment(flat(0, 1j), 400) == complex(0.0, math.inf)
+    assert halfline_moment(flat(0) + flat(1, 1j), 400) == \
+        complex(math.inf, math.inf)
+    with pytest.raises(InvalidParameter, match="order 400"):
+        halfline_moment(flat(0) - flat(1, 2.0), 400)
+
+
 def test_multiply_divide_by_x_shift_the_power():
     phi = flat(0, 2.0)
     up = multiply_by_x(phi)
