@@ -24,7 +24,7 @@ import numpy as np
 
 from .atoms import TestFunction, dual_seminorm_pair, log_seminorm
 from .conditions import DEFAULT_CONDITIONS, INCONCLUSIVE, classify
-from .errors import GsmomentError, InvalidParameter
+from .errors import ConditionRefused, GsmomentError, InvalidParameter
 from .halfplane import borel_ritt_solve
 from .interpolating import interpolation_agreement, two_interpolate
 from .solver import (OVERFLOW_LOG, SequenceTarget, lambda_norm,
@@ -271,25 +271,22 @@ def _cmd_verify(args):
     if any(entry["match"] == "disagree" for entry in agreement.values()):
         return payload, EXIT_FAILURE
 
-    gamma2 = next((rep for rep in reports if rep.condition == "gamma2"),
-                  None)
-    if gamma2 is not None and (gamma2.verdict == "Holds"
-                               or args.override_gamma2):
-        target = SequenceTarget((1.0, 1.0, 2.0, 6.0), h=1.0)
-        sol = solve_moments(target, ws,
-                            override_gamma2=args.override_gamma2,
+    target = SequenceTarget((1.0, 1.0, 2.0, 6.0), h=1.0)
+    try:
+        sol = solve_moments(target, ws, override_gamma2=args.override_gamma2,
                             tolerance=args.tolerance)
-        payload["solve_check"] = {
-            "degree": sol.degree,
-            "worst_residual": max(sol.residuals),
-            "passed": max(sol.residuals) <= args.tolerance,
-        }
-        if not payload["solve_check"]["passed"]:
-            return payload, EXIT_FAILURE
-    else:
+    except ConditionRefused:
         payload["solve_check"] = {
             "skipped": "gate condition verdict is %s"
-                       % (gamma2.verdict if gamma2 else "absent")}
+                       % payload["classification"]["gamma2"]}
+        return payload, code
+    payload["solve_check"] = {
+        "degree": sol.degree,
+        "worst_residual": max(sol.residuals),
+        "passed": max(sol.residuals) <= args.tolerance,
+    }
+    if not payload["solve_check"]["passed"]:
+        return payload, EXIT_FAILURE
     return payload, code
 
 

@@ -371,39 +371,39 @@ def _parse_condition(name):
     return name, None
 
 
+def _check_gamma_r(ws, r):
+    if r is None:
+        raise InvalidParameter("gamma_r needs a parameter r")
+    if not (float(r) > 0):
+        raise InvalidParameter("gamma_r needs r > 0")
+    r = float(r)
+    return _check_gamma_family(ws, "gamma_r(%g)" % r, r, sup_form=True)
+
+
+# condition name -> check(ws, r); r is the gamma_r parameter
+_CHECKS = {
+    "lc": lambda ws, r: check_lc(ws),
+    "dc": lambda ws, r: check_dc(ws),
+    "mg": lambda ws, r: check_mg(ws),
+    "gamma": lambda ws, r: _check_gamma_family(ws, "gamma", 1.0, False),
+    "gamma1": lambda ws, r: _check_gamma_family(ws, "gamma1", 1.0, True),
+    "gamma2": lambda ws, r: _check_gamma_family(ws, "gamma2", 2.0, True),
+    "gamma_r": _check_gamma_r,
+    "beta2": lambda ws, r: check_beta2(ws),
+    "beta2_0": lambda ws, r: check_beta2_0(ws),
+    "beta2_1": lambda ws, r: check_beta2_1(ws),
+}
+
+
 def check_condition(ws, condition, r=None):
     """Check one named condition; gamma_r takes its parameter either inline
     ("gamma_r(3)") or via the r argument."""
     if not isinstance(ws, WeightSequence):
         raise InvalidParameter("expected a WeightSequence")
     base, inline_r = _parse_condition(condition)
-    if base == "lc":
-        return check_lc(ws)
-    if base == "dc":
-        return check_dc(ws)
-    if base == "mg":
-        return check_mg(ws)
-    if base == "gamma":
-        return _check_gamma_family(ws, "gamma", 1.0, sup_form=False)
-    if base == "gamma1":
-        return _check_gamma_family(ws, "gamma1", 1.0, sup_form=True)
-    if base == "gamma2":
-        return _check_gamma_family(ws, "gamma2", 2.0, sup_form=True)
-    if base == "gamma_r":
-        rr = inline_r if inline_r is not None else r
-        if rr is None:
-            raise InvalidParameter("gamma_r needs a parameter r")
-        if not (float(rr) > 0):
-            raise InvalidParameter("gamma_r needs r > 0")
-        name = "gamma_r(%g)" % float(rr)
-        return _check_gamma_family(ws, name, float(rr), sup_form=True)
-    if base == "beta2":
-        return check_beta2(ws)
-    if base == "beta2_0":
-        return check_beta2_0(ws)
-    if base == "beta2_1":
-        return check_beta2_1(ws)
-    raise InvalidParameter("unknown condition %r" % condition)
+    if base not in _CHECKS:
+        raise InvalidParameter("unknown condition %r" % condition)
+    return _CHECKS[base](ws, inline_r if inline_r is not None else r)
 
 
 def classify(ws, conditions=None):

@@ -46,6 +46,22 @@ _MAX_WORK_DPS = 2000  # refuse sums that cancel below this precision
 _I_POWER = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
+def _checked_argument(z, p):
+    """z as a complex, refused unless it is finite and in the closed upper
+    half plane and p is an integer derivative order in 0..DERIVATIVE_CAP."""
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise InvalidParameter("z must be finite")
+    if z.imag < 0.0:
+        raise InvalidParameter("the domain is the closed upper half plane")
+    if not isinstance(p, int) or p < 0:
+        raise InvalidParameter("derivative order must be an integer >= 0")
+    if p > DERIVATIVE_CAP:
+        raise InvalidParameter(
+            "derivative order %d beyond cap %d" % (p, DERIVATIVE_CAP))
+    return z
+
+
 def _transform(coeffs, z, ps, dps):
     """[f^(p)(z) for p in ps] for phi = sum of c_k t^k e^{-t-1/t} over
     the (k, c_k) pairs, each correct to dps significant digits. One K run
@@ -112,14 +128,7 @@ class HalfPlaneFunction:
 
     def eval_derivative(self, z, p=0):
         """f^(p)(z) from the Bessel closed form, as a complex."""
-        z = complex(z)
-        if z.imag < 0.0:
-            raise InvalidParameter("the domain is the closed upper half plane")
-        if not isinstance(p, int) or p < 0:
-            raise InvalidParameter("derivative order must be an integer >= 0")
-        if p > DERIVATIVE_CAP:
-            raise InvalidParameter(
-                "derivative order %d beyond cap %d" % (p, DERIVATIVE_CAP))
+        z = _checked_argument(z, p)
         return complex(_transform(self._coeffs, z, (p,), _FLOAT_DPS)[0])
 
     def __call__(self, z):
@@ -160,10 +169,8 @@ class HalfPlaneFunction:
 
     def eval_mp(self, z, p=0, dps=30):
         """f^(p)(z) from the Bessel closed form, to dps digits."""
-        zc = complex(z)
-        if zc.imag < 0.0:
-            raise InvalidParameter("the domain is the closed upper half plane")
-        value = _transform(self._coeffs, zc, (p,), dps)[0]
+        z = _checked_argument(z, p)
+        value = _transform(self._coeffs, z, (p,), dps)[0]
         with mp.workdps(dps):
             return +value
 

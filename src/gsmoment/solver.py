@@ -19,12 +19,18 @@ once in real arithmetic and kept in the bounded _HANKEL_CACHE, so a warm
 verified solve evaluates phi nowhere. The working precision is the
 largest cancellation headroom over the orders. Levels halve the step
 until the gap between two levels, the error estimate of Bailey,
-Jeyabalan and Li, falls below tolerance * 1e-3 on every order; a pass
-that reaches the level cap first is refused. The pass never calls a
-Bessel routine: the Bessel Gram rows only size its precision.
+Jeyabalan and Li, falls below tolerance * 1e-6 on every order; a pass
+that reaches the level cap first is refused. The error roughly squares
+from one level to the next, so the level returned lies far below the gap
+that stopped the pass. Low-degree targets have a fourth-level gap near
+1e-9; the stop at tolerance * 1e-6 takes them one level on, to residuals
+near 1e-30, which are what a parity-split reduction reports. The pass
+never calls a Bessel routine: the Bessel Gram values only size its
+precision.
 
-The Gram values are rounded down, rung by rung, from the K_n(2)
-sequence of the bessel module.
+The Gram values h[m] = 2 K_{m+1}(2), m = 0..2P, are rounded down, rung
+by rung, from the K_n(2) sequence of the bessel module; the matrix is
+G[p, k] = h[p + k], and sum_k c_k h[p + k] is moment p in closed form.
 
 Precision is set through the global mpmath context (mp.workprec and
 mp.workdps), which every thread of the process shares, so solving or
@@ -32,7 +38,8 @@ verifying from several threads at once is unsafe.
 
 Solving is gated on the weight sequence: unless the classifier finds
 that the ratio-tail condition at exponent 2 holds, the problem is
-refused (the caller can override, and the override is recorded).
+refused (the caller can override, and the override is recorded). The
+parity-split reduction runs two such solves and adds no check of its own.
 """
 
 from __future__ import annotations
@@ -61,7 +68,6 @@ DEFAULT_TOLERANCE = 1e-6
 OVERFLOW_LOG = math.log(np.finfo(float).max)  # ~709.78
 
 _HALF_LINE_POINTS = (0, 1, 5, 25, 90, mp.inf)
-_SQUARE_POINTS = (0, 1, 3, 6, 10, mp.inf)  # for x -> x^2 pushforwards
 _MAX_LEVEL = 10   # tanh-sinh levels (step 2^-level) before a pass is refused
 _DPS_GRID = 20    # pass precisions round up to this, so few node sets recur
 _TANH_SINH = TanhSinh(mp)
@@ -87,57 +93,42 @@ def _flat_envelope(t):
     return mp.exp(-t - 1 / t) if t > 0 else mp.zero
 
 
-def _identity(t):
-    return t
-
-
-def _square_envelope(x):
-    """2x exp(-x^2 - 1/x^2): the flat envelope pushed through x -> x^2."""
-    return 2 * x * _flat_envelope(x * x)
-
-
-def _square(x):
-    return x * x
-
-
-def _hankel_table(f0, u, points, level, count):
-    """Sums of w f0(x) u(x)^m, m = 0..count-1, over the tanh-sinh nodes
-    new at this level, in real arithmetic at the working precision."""
+def _hankel_table(level, count):
+    """Sums of w t^m exp(-t - 1/t), m = 0..count-1, over the half-line
+    tanh-sinh nodes new at this level, in real arithmetic at the working
+    precision."""
     def make():
         row = [mp.zero] * count
-        for x, w in _level_nodes(points, level, mp.prec):
-            v = w * f0(x)
-            ux = u(x)
+        for t, w in _level_nodes(_HALF_LINE_POINTS, level, mp.prec):
+            v = w * _flat_envelope(t)
             for m in range(count):
                 row[m] += v
-                v *= ux
+                v *= t
         return tuple(row)
-    return _cached(_HANKEL_CACHE, (points, f0, u, level, mp.prec, count),
-                   make)
+    return _cached(_HANKEL_CACHE, (level, mp.prec, count), make)
 
 
-def _shared_node_moments(sol, f0, u, points, extra_dps=0):
-    """Integrals over the breakpoints of f0(x) phi_u(x) u(x)^j for every
-    order j of the solution's target, where phi_u = sum_k c_k u^k, at the
-    solution's largest headroom plus extra_dps digits.
+def _shared_node_moments(sol):
+    """Integrals over the half line of t^j phi(t) for every order j of the
+    solution's target, at the solution's largest headroom.
 
     By linearity each level's sum is sum_k c_k Q[j + k], where Q holds the
-    quadrature moments of f0 u^m over the levels so far. Q does not
-    depend on the solution, so its level tables are cached.
+    quadrature moments of t^m exp(-t - 1/t) over the levels so far. Q does
+    not depend on the solution, so its level tables are cached.
 
     Stops at the first level whose sums all moved by at most
-    tolerance * 1e-3 of max(1, |a_j|) since the level before; raises
+    tolerance * 1e-6 of max(1, |a_j|) since the level before; raises
     IllConditioned when _MAX_LEVEL is reached first."""
-    dps = max(sol._headroom_dps()) + extra_dps
+    dps = max(sol._headroom_dps())
     coeffs = sol._mp_coeffs
     n = len(coeffs)
     scales = [max(1.0, abs(a)) for a in sol.target.entries]
-    slack = sol.tolerance * 1e-3
+    slack = sol.tolerance * 1e-6
     with mp.workdps(_DPS_GRID * -(-dps // _DPS_GRID)):
         moments = [mp.zero] * (2 * n - 1)  # Q over the levels so far
         last = None
         for level in range(1, _MAX_LEVEL + 1):
-            row = _hankel_table(f0, u, points, level, 2 * n - 1)
+            row = _hankel_table(level, 2 * n - 1)
             moments = [q + r for q, r in zip(moments, row)]
             step = mp.ldexp(1, -level)
             sums = [step * mp.fdot(coeffs, moments[j:j + n])
@@ -226,12 +217,12 @@ def unit_ball_target(ws, degree, scale, seed):
     return SequenceTarget(ent, h=scale)
 
 
-def _gram_rows(n, bits):
-    """Rows of the moment matrix 2 K_{p+k+1}(2) at the given precision."""
+def _gram_hankel(n, bits):
+    """The 2n - 1 values h[m] = 2 K_{m+1}(2) at the given precision; the
+    n x n moment matrix is the Hankel matrix G[p, k] = h[p + k]."""
     k2 = k2_sequence(2 * n, bits)
     with mp.workprec(bits):
-        vals = [2 * k2[m + 1] for m in range(2 * n - 1)]
-    return tuple(tuple(vals[p:p + n]) for p in range(n))
+        return tuple(2 * k2[m + 1] for m in range(2 * n - 1))
 
 
 _GATE_CACHE = OrderedDict()
@@ -302,12 +293,11 @@ class MomentSolution:
         quadrature survives the cancellation between large coefficient
         terms and a small moment."""
         if self._headroom is None:
-            n = self.degree + 1
-            rows = _gram_rows(n, self.precision_bits)
+            h = _gram_hankel(self.degree + 1, self.precision_bits)
             with mp.workprec(self.precision_bits):
                 logc = [(k, mp.log(abs(c), 10))
                         for k, c in enumerate(self._mp_coeffs) if c != 0]
-                logv = [mp.log(v, 10) for v in rows[0] + rows[-1][1:]]
+                logv = [mp.log(v, 10) for v in h]
                 out = []
                 for p, a_p in enumerate(self.target.entries):
                     if not logc:
@@ -332,10 +322,10 @@ class MomentSolution:
 
     def moment_closed(self, p):
         """sum_k c_k 2K_{p+k+1}(2) at solve precision."""
-        rows = _gram_rows(self.degree + 1, self.precision_bits)
+        n = self.degree + 1
+        h = _gram_hankel(n, self.precision_bits)
         with mp.workprec(self.precision_bits):
-            return mp.fsum(c * rows[p][k]
-                           for k, c in enumerate(self._mp_coeffs))
+            return mp.fdot(self._mp_coeffs, h[p:p + n])
 
     def moment_quadrature(self, p):
         """Independent check: arbitrary-precision quadrature of t^p phi(t)
@@ -345,8 +335,7 @@ class MomentSolution:
             raise InvalidParameter("moment order %d outside 0..%d"
                                    % (p, self.degree))
         if self._quadrature is None:
-            self._quadrature = _shared_node_moments(
-                self, _flat_envelope, _identity, _HALF_LINE_POINTS)
+            self._quadrature = _shared_node_moments(self)
         return self._quadrature[p]
 
     def to_dict(self):
@@ -364,13 +353,13 @@ class MomentSolution:
 
 
 def solve_moments(target, ws, override_gamma2=False,
-                  tolerance=DEFAULT_TOLERANCE, verify=True, gate=True,
-                  min_bits=None):
+                  tolerance=DEFAULT_TOLERANCE, verify=True, min_bits=None):
     """Solve the finite moment problem for the target against the weight.
 
     Raises TargetTooLarge beyond degree 32, ConditionRefused when the
-    gate condition fails and no override is given, IllConditioned when
-    the precision ladder tops out before the residuals meet tolerance.
+    ratio-tail condition at exponent 2 does not hold and override_gamma2
+    is false, IllConditioned when the precision ladder tops out before
+    the residuals meet tolerance or verification misses it.
     min_bits, from 53 to MAX_BITS, skips the ladder's lower rungs.
     """
     if not isinstance(target, SequenceTarget):
@@ -380,7 +369,7 @@ def solve_moments(target, ws, override_gamma2=False,
             "degree %d beyond cap %d" % (target.degree, DEGREE_CAP))
     if not isinstance(ws, WeightSequence):
         raise InvalidParameter("a WeightSequence is required")
-    verdict = _gamma2_gate(ws, override_gamma2) if gate else None
+    verdict = _gamma2_gate(ws, override_gamma2)
     n = target.degree + 1
     ladder = PRECISION_LADDER
     if min_bits is not None:
@@ -393,32 +382,32 @@ def solve_moments(target, ws, override_gamma2=False,
             or (min_bits,)
     solution = None
     for bits in ladder:
-        rows = _gram_rows(n, bits)
+        h = _gram_hankel(n, bits)
         with mp.workprec(bits):
             G = mp.matrix(n, n)
             for p in range(n):
                 for k in range(n):
-                    G[p, k] = rows[p][k]
+                    G[p, k] = h[p + k]
             rhs = mp.matrix([mp.mpc(v) if not target.is_real else mp.mpf(v.real)
                              for v in target.entries])
             try:
                 c = mp.lu_solve(G, rhs)
             except ZeroDivisionError:
                 continue
+        c = list(c)
         # residual of the linear system, judged at doubled precision
         with mp.workprec(2 * bits):
-            rows2 = _gram_rows(n, 2 * bits)
+            h2 = _gram_hankel(n, 2 * bits)
             ok = True
             for p in range(n):
-                r = mp.fsum(c[k] * rows2[p][k] for k in range(n)) \
-                    - mp.mpc(target.entries[p])
+                r = mp.fdot(c, h2[p:p + n]) - mp.mpc(target.entries[p])
                 rel = abs(r) / max(1.0, abs(target.entries[p]))
                 if rel > tolerance * 1e-3:
                     ok = False
                     break
         if ok:
             solution = MomentSolution(
-                target, ws, list(c), bits, (), verdict, override_gamma2,
+                target, ws, c, bits, (), verdict, override_gamma2,
                 tolerance)
             break
     if solution is None:
@@ -502,40 +491,23 @@ class ReductionResult:
                 "residuals": list(self.residuals)}
 
 
-def _pushforward_moment_quadrature(sol):
-    """Quadratures over (0, inf) of x^(2j+1) 2 phi(x^2) for every order j
-    of the half solution: whole-line moment 2j of the even half pushed
-    through x -> x^2 with weight 2x, and moment 2j+1 of the odd half
-    pushed with weight 2, are both this integral."""
-    return _shared_node_moments(sol, _square_envelope, _square,
-                                _SQUARE_POINTS, extra_dps=10)
-
-
 def reduction_roundtrip(target, ws, override_gamma2=False,
                         tolerance=DEFAULT_TOLERANCE):
     """Split the target into even and odd entry streams, solve the two
-    half problems, push both through x -> x^2 and symmetrize, and verify
-    by quadrature that the whole-line moments reproduce every entry."""
+    half problems, push both through x -> x^2 and symmetrize.
+
+    The whole-line function is F(x) = |x| phi_e(x^2) + sgn(x) phi_o(x^2),
+    so by t = x^2 its moments are the half solutions' own:
+    integral x^(2j) F(x) dx = integral_0^inf t^j phi_e(t) dt and
+    integral x^(2j+1) F(x) dx = integral_0^inf t^j phi_o(t) dt. Entry p
+    of the residuals is therefore the verified quadrature residual of
+    order p // 2 of the half solve of parity p % 2; a half solve that
+    misses the tolerance has already raised."""
     if not isinstance(target, SequenceTarget):
         target = SequenceTarget(tuple(target))
-    _gamma2_gate(ws, override_gamma2)
     ent = target.entries
-    even = SequenceTarget(ent[0::2], h=target.h)
-    odd = SequenceTarget(ent[1::2], h=target.h) if len(ent) > 1 else None
-    sol_e = solve_moments(even, ws, tolerance=tolerance, gate=False)
-    if odd is None:
-        odd = SequenceTarget((0j,), h=target.h)
-    sol_o = solve_moments(odd, ws, tolerance=tolerance, gate=False)
-    pushed = (_pushforward_moment_quadrature(sol_e),
-              _pushforward_moment_quadrature(sol_o))
-    residuals = []
-    for p, a_p in enumerate(ent):
-        q = pushed[p % 2][p // 2]
-        with mp.workdps(40):
-            rel = float(abs(q - mp.mpc(a_p))) / max(1.0, abs(a_p))
-        residuals.append(rel)
-    worst = max(residuals)
-    if worst > tolerance:
-        raise IllConditioned(
-            "reduction residual %.3e above tolerance %.1e" % (worst, tolerance))
-    return ReductionResult(sol_e, sol_o, tuple(residuals))
+    sols = [solve_moments(SequenceTarget(half, h=target.h), ws,
+                          override_gamma2=override_gamma2, tolerance=tolerance)
+            for half in (ent[0::2], ent[1::2] or (0j,))]
+    residuals = tuple(sols[p % 2].residuals[p // 2] for p in range(len(ent)))
+    return ReductionResult(sols[0], sols[1], residuals)

@@ -209,6 +209,17 @@ def test_domain_validation():
         f.eval_derivative(1j, p=33)
 
 
+@pytest.mark.parametrize("method", ["eval_derivative", "eval_mp"])
+@pytest.mark.parametrize("z, p", [
+    (complex(0.0, math.inf), 0), (complex(math.nan, 1.0), 0),
+    (complex(math.inf, 1.0), 1), (1 - 1j, 0),
+    (1j, -1), (1j, 1.5), (1j, 33)])
+def test_both_evaluators_refuse_the_same_arguments(method, z, p):
+    f = HalfPlaneFunction(flat(0))
+    with pytest.raises(InvalidParameter):
+        getattr(f, method)(z, p)
+
+
 def test_whole_line_functions_are_rejected():
     with pytest.raises(UnsupportedSupport):
         HalfPlaneFunction(gauss_poly(0))
