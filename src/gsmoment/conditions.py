@@ -79,8 +79,10 @@ def three_horizons(horizon):
     return (horizon // 4, horizon // 2, horizon)
 
 
-def _spread(values):
-    return max(values) - min(values)
+def _flat(trace):
+    """Three limsup estimates that moved less than log 1.05, or less than
+    5% of the last one."""
+    return max(trace) - min(trace) < max(_STABLE_STEP, 0.05 * abs(trace[-1]))
 
 
 def _rel_step(a, b):
@@ -99,10 +101,6 @@ def _bounded_trend_verdict(stats):
     return INCONCLUSIVE
 
 
-def _stats_list(stats):
-    return [float(s) for s in stats]
-
-
 def check_lc(ws, tol=LC_TOL):
     """Log-convexity: second differences of log M_p must be >= -tol."""
     d2 = lc_second_differences(ws)
@@ -113,35 +111,39 @@ def check_lc(ws, tol=LC_TOL):
     return ConditionReport("lc", verdict, witness, (ws.horizon,))
 
 
-def check_dc(ws):
-    """Derivation closedness: log m_p bounded by an affine function of p."""
-    lr = ws.log_ratios
+def _affine_bound(name, ws, series, index):
+    """The series must stay below an affine function of the index. The
+    statistic is max(series / index) over the indices up to each horizon;
+    on Holds the witness adds H and C0 with series <= log C0 + index log H,
+    H from the slope of a least-squares line."""
     horizons = three_horizons(ws.horizon)
-    stats = []
-    for h in horizons:
-        p = np.arange(1, h + 1, dtype=float)
-        stats.append(float(np.max(lr[:h] / p)))
+    ratio = series / index
+    stats = [float(np.max(ratio[index <= h])) for h in horizons]
     verdict = _bounded_trend_verdict(stats)
-    witness = {"statistic": _stats_list(stats)}
+    witness = {"statistic": stats}
     if verdict is HOLDS:
-        p = np.arange(1, ws.horizon + 1, dtype=float)
-        slope, intercept = np.polyfit(p, lr, 1)
-        log_h = max(float(slope), 0.0)
-        log_c0 = max(float(np.max(lr - log_h * p)), 0.0)
+        log_h = max(float(np.polyfit(index, series, 1)[0]), 0.0)
+        log_c0 = max(float(np.max(series - log_h * index)), 0.0)
         witness["H"] = math.exp(log_h)
         witness["C0"] = math.exp(log_c0)
-    return ConditionReport("dc", verdict, witness, horizons)
+    return ConditionReport(name, verdict, witness, horizons)
 
 
-def _mg_split_gaps(ws, h):
-    """D(s) = max_{p+q=s} (log M_s - log M_p - log M_q) for s = 2..h."""
+def check_dc(ws):
+    """Derivation closedness: log m_p bounded by an affine function of p."""
+    p = np.arange(1, ws.horizon + 1, dtype=float)
+    return _affine_bound("dc", ws, ws.log_ratios, p)
+
+
+def _mg_split_gaps(ws):
+    """D(s) = max_{p+q=s} (log M_s - log M_p - log M_q) for s = 2..horizon."""
     lv = ws.log_values
-    s = np.arange(2, h + 1)
+    s = np.arange(2, ws.horizon + 1)
     if is_log_convex(ws):
         # log-convexity puts the worst split in the middle
         return lv[s] - lv[s // 2] - lv[s - s // 2]
-    gaps = np.empty(h - 1)
-    for j, si in enumerate(range(2, h + 1)):
+    gaps = np.empty(ws.horizon - 1)
+    for j, si in enumerate(range(2, ws.horizon + 1)):
         inner = lv[1:si] + lv[si - 1:0:-1]
         gaps[j] = lv[si] - inner.min()
     return gaps
@@ -150,22 +152,8 @@ def _mg_split_gaps(ws, h):
 def check_mg(ws):
     """Moderate growth: log M_{p+q} - log M_p - log M_q bounded by an
     affine function of p + q."""
-    horizons = three_horizons(ws.horizon)
-    gaps_full = _mg_split_gaps(ws, ws.horizon)
-    s_full = np.arange(2, ws.horizon + 1, dtype=float)
-    stats = []
-    for h in horizons:
-        n = h - 1
-        stats.append(float(np.max(gaps_full[:n] / s_full[:n])))
-    verdict = _bounded_trend_verdict(stats)
-    witness = {"statistic": _stats_list(stats)}
-    if verdict is HOLDS:
-        slope, intercept = np.polyfit(s_full, gaps_full, 1)
-        log_h = max(float(slope), 0.0)
-        log_c0 = max(float(np.max(gaps_full - log_h * s_full)), 0.0)
-        witness["H"] = math.exp(log_h)
-        witness["C0"] = math.exp(log_c0)
-    return ConditionReport("mg", verdict, witness, horizons)
+    s = np.arange(2, ws.horizon + 1, dtype=float)
+    return _affine_bound("mg", ws, _mg_split_gaps(ws), s)
 
 
 def _tail_fit(log_summand, h):
@@ -261,6 +249,14 @@ def _beta2_trace(ws, n, pmax):
     return (lw_np - lw_p) / (p * (n - 1.0)) - (lw_np - lw_np_prev)
 
 
+def _ratio_gap_trace(ws, n, pmax):
+    """log m_{np} - log m_p for p = 1..pmax."""
+    p = np.arange(1, pmax + 1)
+    idx = n * p
+    return (ws.log_weight_array(idx) - ws.log_weight_array(idx - 1)) \
+        - (ws.log_weight_array(p) - ws.log_weight_array(p - 1))
+
+
 def _limsup_estimate(trace, h, pmax):
     top = min(h, pmax)
     lo = max(top // 2, 1)
@@ -269,21 +265,31 @@ def _limsup_estimate(trace, h, pmax):
     return float(np.max(trace[lo - 1:top]))
 
 
+def _rescaled_limsups(ws, trace_of, horizons):
+    """(n, limsup estimates of trace_of(ws, n, pmax) at the three horizons)
+    for n = 2..16, computed one n at a time as the caller asks; the
+    estimates read None when the admissible index range at n is too short."""
+    for n in range(2, BETA2_N_MAX + 1):
+        pmax = _beta2_admissible(ws, n)
+        trace = trace_of(ws, n, pmax)
+        per_h = [_limsup_estimate(trace, h, pmax) for h in horizons]
+        yield n, None if None in per_h else per_h
+
+
+def _too_short(name, n, horizons):
+    witness = {"reason": "admissible index range too short at rescale "
+                         "n=%d for a limsup estimate" % n}
+    return ConditionReport(name, INCONCLUSIVE, witness, horizons)
+
+
 def check_beta2(ws):
     """For every eps in the grid, some rescale n <= 16 must push the
     finite-horizon limsup statistic below log eps, at all three horizons."""
     horizons = three_horizons(ws.horizon)
-    traces = {}
     limsups = {}
-    for n in range(2, BETA2_N_MAX + 1):
-        pmax = _beta2_admissible(ws, n)
-        trace = _beta2_trace(ws, n, pmax)
-        traces[n] = (trace, pmax)
-        per_h = [_limsup_estimate(trace, h, pmax) for h in horizons]
-        if any(v is None for v in per_h):
-            witness = {"reason": "admissible index range too short at rescale "
-                                 "n=%d for a limsup estimate" % n}
-            return ConditionReport("beta2", INCONCLUSIVE, witness, horizons)
+    for n, per_h in _rescaled_limsups(ws, _beta2_trace, horizons):
+        if per_h is None:
+            return _too_short("beta2", n, horizons)
         limsups[n] = per_h
     n_for_eps = {}
     failing_eps = None
@@ -303,42 +309,27 @@ def check_beta2(ws):
     best_n = min(limsups, key=lambda n: limsups[n][-1])
     trail = limsups[best_n]
     witness = {"eps": failing_eps, "best_n": best_n, "limsup": trail[-1],
-               "limsup_trace": _stats_list(trail)}
-    if _spread(trail) < max(_STABLE_STEP, 0.05 * abs(trail[-1])):
-        return ConditionReport("beta2", FAILS, witness, horizons)
-    return ConditionReport("beta2", INCONCLUSIVE, witness, horizons)
+               "limsup_trace": trail}
+    verdict = FAILS if _flat(trail) else INCONCLUSIVE
+    return ConditionReport("beta2", verdict, witness, horizons)
 
 
 def check_beta2_0(ws):
     """Some rescale n <= 16 must make m_{np}/m_p diverge."""
     horizons = three_horizons(ws.horizon)
-    diverging = None
-    all_stable = True
+    all_flat = True
     bound = -math.inf
     sample = {}
-    for n in range(2, BETA2_N_MAX + 1):
-        pmax = _beta2_admissible(ws, n)
-        p = np.arange(1, pmax + 1)
-        idx = n * p
-        gap = (ws.log_weight_array(idx) - ws.log_weight_array(idx - 1)) \
-            - (ws.log_weight_array(p) - ws.log_weight_array(p - 1))
-        per_h = [_limsup_estimate(gap, h, pmax) for h in horizons]
-        if any(v is None for v in per_h):
-            witness = {"reason": "admissible index range too short at rescale "
-                                 "n=%d for a limsup estimate" % n}
-            return ConditionReport("beta2_0", INCONCLUSIVE, witness, horizons)
+    for n, per_h in _rescaled_limsups(ws, _ratio_gap_trace, horizons):
+        if per_h is None:
+            return _too_short("beta2_0", n, horizons)
         if per_h[1] - per_h[0] > _DIVERGE_STEP and per_h[2] - per_h[1] > _DIVERGE_STEP:
-            diverging = (n, per_h)
-            break
-        if _spread(per_h) >= max(_STABLE_STEP, 0.05 * abs(per_h[-1])):
-            all_stable = False
+            witness = {"n": n, "log_ratio_gap_trace": per_h}
+            return ConditionReport("beta2_0", HOLDS, witness, horizons)
+        all_flat = all_flat and _flat(per_h)
         bound = max(bound, per_h[-1])
         sample["%d" % n] = per_h[-1]
-    if diverging is not None:
-        n, per_h = diverging
-        witness = {"n": n, "log_ratio_gap_trace": _stats_list(per_h)}
-        return ConditionReport("beta2_0", HOLDS, witness, horizons)
-    if all_stable:
+    if all_flat:
         witness = {"sup_log_ratio_gap": bound, "per_n": sample}
         return ConditionReport("beta2_0", FAILS, witness, horizons)
     return ConditionReport("beta2_0", INCONCLUSIVE, {"per_n": sample}, horizons)
@@ -351,59 +342,53 @@ def check_beta2_1(ws):
     p = np.arange(1, h + 1, dtype=float)
     w = ws.log_values[1:h + 1] / p - ws.log_ratios[:h]
     per_h = [_limsup_estimate(w, hh, h) for hh in horizons]
-    witness = {"log_statistic_trace": _stats_list(per_h)}
+    witness = {"log_statistic_trace": per_h}
     if per_h[1] < per_h[0] - _DIVERGE_STEP and per_h[2] < per_h[1] - _DIVERGE_STEP:
         return ConditionReport("beta2_1", HOLDS, witness, horizons)
-    if _spread(per_h) < max(_STABLE_STEP, 0.05 * abs(per_h[-1])):
-        return ConditionReport("beta2_1", FAILS, witness, horizons)
-    return ConditionReport("beta2_1", INCONCLUSIVE, witness, horizons)
+    verdict = FAILS if _flat(per_h) else INCONCLUSIVE
+    return ConditionReport("beta2_1", verdict, witness, horizons)
 
 
-def _parse_condition(name):
-    if name.startswith("gamma_r(") and name.endswith(")"):
-        try:
-            r = float(name[len("gamma_r("):-1])
-        except ValueError:
-            raise InvalidParameter("bad gamma_r parameter in %r" % name)
-        if not (r > 0):
-            raise InvalidParameter("gamma_r needs r > 0, got %r" % name)
-        return "gamma_r", r
-    return name, None
-
-
-def _check_gamma_r(ws, r):
-    if r is None:
-        raise InvalidParameter("gamma_r needs a parameter r")
-    if not (float(r) > 0):
-        raise InvalidParameter("gamma_r needs r > 0")
-    r = float(r)
-    return _check_gamma_family(ws, "gamma_r(%g)" % r, r, sup_form=True)
-
-
-# condition name -> check(ws, r); r is the gamma_r parameter
+# condition name -> check(ws); gamma_r(r) has its own branch in check_condition
 _CHECKS = {
-    "lc": lambda ws, r: check_lc(ws),
-    "dc": lambda ws, r: check_dc(ws),
-    "mg": lambda ws, r: check_mg(ws),
-    "gamma": lambda ws, r: _check_gamma_family(ws, "gamma", 1.0, False),
-    "gamma1": lambda ws, r: _check_gamma_family(ws, "gamma1", 1.0, True),
-    "gamma2": lambda ws, r: _check_gamma_family(ws, "gamma2", 2.0, True),
-    "gamma_r": _check_gamma_r,
-    "beta2": lambda ws, r: check_beta2(ws),
-    "beta2_0": lambda ws, r: check_beta2_0(ws),
-    "beta2_1": lambda ws, r: check_beta2_1(ws),
+    "lc": check_lc,
+    "dc": check_dc,
+    "mg": check_mg,
+    "gamma": lambda ws: _check_gamma_family(ws, "gamma", 1.0, False),
+    "gamma1": lambda ws: _check_gamma_family(ws, "gamma1", 1.0, True),
+    "gamma2": lambda ws: _check_gamma_family(ws, "gamma2", 2.0, True),
+    "beta2": check_beta2,
+    "beta2_0": check_beta2_0,
+    "beta2_1": check_beta2_1,
 }
 
 
 def check_condition(ws, condition, r=None):
     """Check one named condition; gamma_r takes its parameter either inline
-    ("gamma_r(3)") or via the r argument."""
+    ("gamma_r(3)"), which wins, or via the r argument.
+
+    Reports of the fixed names are memoised on the sequence, so the
+    solver's gate, classify and interpolation_agreement share one
+    computation; gamma_r reports, whose names are unbounded, are not."""
     if not isinstance(ws, WeightSequence):
         raise InvalidParameter("expected a WeightSequence")
-    base, inline_r = _parse_condition(condition)
-    if base not in _CHECKS:
+    if condition in _CHECKS:
+        if condition not in ws._reports:
+            ws._reports[condition] = _CHECKS[condition](ws)
+        return ws._reports[condition]
+    if condition.startswith("gamma_r(") and condition.endswith(")"):
+        try:
+            r = float(condition[len("gamma_r("):-1])
+        except ValueError:
+            raise InvalidParameter("bad gamma_r parameter in %r" % condition)
+    elif condition != "gamma_r":
         raise InvalidParameter("unknown condition %r" % condition)
-    return _CHECKS[base](ws, inline_r if inline_r is not None else r)
+    if r is None:
+        raise InvalidParameter("gamma_r needs a parameter r")
+    r = float(r)
+    if not r > 0:
+        raise InvalidParameter("gamma_r needs r > 0, got %g" % r)
+    return _check_gamma_family(ws, "gamma_r(%g)" % r, r, sup_form=True)
 
 
 def classify(ws, conditions=None):

@@ -46,13 +46,19 @@ class InterpolatedPair:
 
 
 def two_interpolate(ws):
-    """Interpolated sequence on the doubled horizon, paired with its base."""
-    interp = WeightSequence(
-        "interpolated",
-        {"base": ws.descriptor()},
-        horizon=2 * ws.horizon,
-        log_weight_vec=_interpolated_rule(ws),
-    )
+    """Interpolated sequence on the doubled horizon, paired with its base.
+
+    The interpolant of a closed-form base keeps the rule; that of a table
+    is the table of the rule's values on 0..2H, since the rule cannot
+    answer beyond 2H where the base table ends."""
+    rule = _interpolated_rule(ws)
+    horizon = 2 * ws.horizon
+    if ws.closed_form:
+        source = {"log_weight_vec": rule}
+    else:
+        source = {"log_values": rule(np.arange(horizon + 1))}
+    interp = WeightSequence("interpolated", {"base": ws.descriptor()},
+                            horizon=horizon, **source)
     return InterpolatedPair(base=ws, interpolated=interp)
 
 

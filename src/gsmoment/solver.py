@@ -44,7 +44,6 @@ parity-split reduction runs two such solves and adds no check of its own.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -225,14 +224,10 @@ def _gram_hankel(n, bits):
         return tuple(2 * k2[m + 1] for m in range(2 * n - 1))
 
 
-_GATE_CACHE = OrderedDict()
-
-
 def _gamma2_gate(ws, override):
     """Verdict of the ratio-tail condition at exponent 2; refuses unless
     it holds or the caller overrides."""
-    key = json.dumps(ws.descriptor(), sort_keys=True)
-    rep = _cached(_GATE_CACHE, key, lambda: check_condition(ws, "gamma2"))
+    rep = check_condition(ws, "gamma2")
     if rep.verdict != HOLDS and not override:
         raise ConditionRefused(
             "ratio-tail condition at exponent 2 is %s for this weight; "

@@ -87,9 +87,10 @@ _EXPR_NAMESPACE = {
 class WeightSequence:
     """A weight sequence cached up to a finite horizon.
 
-    Closed-form kinds (gevrey, qgevrey, expr, interpolated) carry a
-    vectorized rule p -> log M_p and may be evaluated beyond the cache;
-    table-backed sequences are exactly their data.
+    Closed-form kinds (gevrey, qgevrey, expr, and the interpolant of one
+    of them) carry a vectorized rule p -> log M_p and may be evaluated
+    beyond the cache; table-backed sequences, the interpolant of a table
+    among them, are exactly their data.
     """
 
     def __init__(self, kind, params, horizon=DEFAULT_HORIZON, log_weight_vec=None,
@@ -124,6 +125,7 @@ class WeightSequence:
         self._log_ratios = np.diff(values)
         self._log_ratios.flags.writeable = False
         self._assoc = None
+        self._reports = {}  # condition name -> report, for check_condition
 
     def _validate(self, values):
         if not np.all(np.isfinite(values)):

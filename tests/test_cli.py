@@ -1,6 +1,7 @@
 """Command line interface: exit codes, JSON output, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,11 +10,14 @@ import warnings
 import pytest
 
 import gsmoment
+from gsmoment import conditions
 from gsmoment.cli import main
 
 GEVREY3 = '{"kind":"gevrey","params":{"alpha":3.0}}'
 GEVREY15 = '{"kind":"gevrey","params":{"alpha":1.5}}'
 FLAT0 = '{"atoms":[["flat_halfline",0,1.0,0.0]]}'
+TABLE2 = json.dumps({"kind": "table", "params": {
+    "log_values": [2.0 * math.lgamma(p + 1) for p in range(257)]}})
 
 
 def run(argv, capsys):
@@ -204,6 +208,49 @@ def test_verify_skips_solve_when_gate_fails(capsys):
                           "--horizon", "512"], capsys)
     data = json.loads(out)
     assert "skipped" in data["solve_check"]
+
+
+def test_interpolate_and_verify_accept_table_weights(capsys):
+    # the interpolant of a table ends where the table's data does, so the
+    # rescaled-index checks read no index past it
+    code, out, err = run(["interpolate", "--weight", TABLE2], capsys)
+    assert code == 3
+    data = json.loads(out)
+    assert data["interpolated_horizon"] == 512
+    assert {k: v["match"] for k, v in data["transfers"].items()} == {
+        "dc": "agree", "beta": "agree", "gamma_halved": "unknown"}
+    code, out, err = run(["verify", "--weight", TABLE2], capsys)
+    assert code == 3
+    data = json.loads(out)
+    assert data["solve_check"] == {
+        "skipped": "gate condition verdict is Inconclusive"}
+
+
+def test_verify_reports_a_failed_solve(capsys):
+    code, out, err = run(["verify", "--weight", GEVREY3, "--horizon", "512",
+                          "--tolerance", "1e-40"], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["classification"]["gamma2"] == "Holds"
+    assert data["interpolation"]["dc"] == "agree"
+    check = data["solve_check"]
+    assert check["degree"] == 3 and check["passed"] is False
+    assert check["error"].startswith("quadrature unresolved")
+
+
+def test_verify_checks_each_condition_once(monkeypatch, capsys):
+    calls = []
+    for name, check in conditions._CHECKS.items():
+        def counted(ws, name=name, check=check):
+            calls.append((ws.kind, name))
+            return check(ws)
+        monkeypatch.setitem(conditions._CHECKS, name, counted)
+    code, out, err = run(["verify", "--weight", GEVREY3,
+                          "--horizon", "256"], capsys)
+    assert json.loads(out)["solve_check"]["passed"] is True
+    assert sorted(calls) == sorted(set(calls))
+    assert {name for kind, name in calls if kind == "gevrey"} \
+        == set(conditions._CHECKS)
 
 
 def test_malformed_json_exits_two(capsys):

@@ -1,12 +1,14 @@
 """Condition checks: verdicts on known families and report coherence."""
 
+import math
+
 import numpy as np
 import pytest
 
 import gsmoment.conditions as conditions_module
 from gsmoment import (FAILS, HOLDS, INCONCLUSIVE, ConditionReport,
                       InvalidParameter, check_condition, classify, from_table,
-                      gevrey, q_gevrey)
+                      gevrey, is_log_convex, q_gevrey)
 from gsmoment.conditions import three_horizons
 
 HORIZON = 4096
@@ -74,6 +76,22 @@ def test_condition_name_validation():
         check_condition(ws, "gamma_r(-1)")
     with pytest.raises(InvalidParameter):
         check_condition(ws, "gamma_r")
+    with pytest.raises(InvalidParameter):
+        check_condition(ws, "gamma_r(x)")
+    with pytest.raises(InvalidParameter):
+        check_condition(ws, "gamma_r", r=0)
+    # an inline parameter wins over the keyword
+    assert check_condition(ws, "gamma_r(3)", r=-1).condition == "gamma_r(3)"
+
+
+def test_fixed_name_reports_are_memoised_on_the_sequence():
+    ws = gevrey(2.0, horizon=256)
+    assert check_condition(ws, "dc") is check_condition(ws, "dc")
+    assert check_condition(gevrey(2.0, horizon=256), "dc") \
+        is not check_condition(ws, "dc")
+    # gamma_r names are unbounded, so their reports are not kept
+    assert check_condition(ws, "gamma_r(2.5)") \
+        is not check_condition(ws, "gamma_r(2.5)")
 
 
 def test_three_horizons_are_quarter_half_full():
@@ -142,3 +160,35 @@ def test_convexity_check_flags_dented_table():
     logs = np.array(gevrey(2.0, horizon=256).log_values)
     logs[40] -= 1.0
     assert check_condition(from_table(logs), "lc").verdict == FAILS
+
+
+def test_rescaled_index_check_stops_at_the_first_diverging_rescale(
+        monkeypatch):
+    rescales = []
+    trace = conditions_module._ratio_gap_trace
+
+    def counted(ws, n, pmax):
+        rescales.append(n)
+        return trace(ws, n, pmax)
+    monkeypatch.setattr(conditions_module, "_ratio_gap_trace", counted)
+    rep = check_condition(q_gevrey(2.0, horizon=256), "beta2_0")
+    assert rep.verdict == HOLDS and rep.witness["n"] == 2
+    assert rescales == [2]
+
+
+def _dented_gevrey2():
+    logs = [2.0 * math.lgamma(p + 1) for p in range(129)]
+    logs[40] += 0.5
+    return from_table(logs)
+
+
+@pytest.mark.parametrize("ws,convex", [(gevrey(2.0, horizon=128), True),
+                                       (_dented_gevrey2(), False)],
+                         ids=["middle-split", "brute-force"])
+def test_mg_split_gaps_match_a_double_loop(ws, convex):
+    assert is_log_convex(ws) is convex
+    lv = ws.log_values
+    ref = [max(lv[s] - lv[p] - lv[s - p] for p in range(1, s))
+           for s in range(2, ws.horizon + 1)]
+    np.testing.assert_allclose(conditions_module._mg_split_gaps(ws), ref,
+                               rtol=0, atol=1e-10)

@@ -1,4 +1,5 @@
-"""Golden outputs of the seven README command-line examples.
+"""Golden outputs of the seven README command-line examples, and of two
+classify runs that pin every condition's report.
 
 Each example's stdout and exit code, and the CSV file that the classify
 example writes, are stored under tests/golden/ and compared byte for
@@ -11,6 +12,7 @@ the files on purpose and say so in CHANGES.md:
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -24,6 +26,13 @@ CSV = "{csv}"  # replaced by a path under a temporary directory
 GEVREY2 = '{"kind":"gevrey","params":{"alpha":2.0}}'
 GEVREY3 = '{"kind":"gevrey","params":{"alpha":3.0}}'
 FLAT0 = '{"atoms":[["flat_halfline",0,1.0,0.0]]}'
+# log (p!)^2 for p <= 128 with log M_40 raised by 0.5: not log-convex, so
+# mg takes its brute-force split, and table-backed
+DENTED = json.dumps({"kind": "table", "params": {"log_values": [
+    2.0 * math.lgamma(p + 1) + (0.5 if p == 40 else 0.0)
+    for p in range(129)]}})
+EVERY_CONDITION = ("lc,dc,mg,gamma,gamma1,gamma2,gamma_r(3),beta2,beta2_0,"
+                   "beta2_1,gamma_r(2.5)")
 
 EXAMPLES = {
     "classify": ["classify", "--weight", GEVREY3, "--horizon", "512",
@@ -39,6 +48,11 @@ EXAMPLES = {
     "borel-ritt": ["borel-ritt", "--weight", GEVREY3,
                    "--entries", "[1.0, [0.0, 1.0], -0.5]"],
     "verify": ["verify", "--weight", GEVREY3],
+    "classify-qgevrey": ["classify", "--weight",
+                         '{"kind":"qgevrey","params":{"q":1.5}}',
+                         "--conditions", EVERY_CONDITION],
+    "classify-dented-table": ["classify", "--weight", DENTED,
+                              "--conditions", EVERY_CONDITION],
 }
 
 
