@@ -27,7 +27,7 @@ from .conditions import DEFAULT_CONDITIONS, INCONCLUSIVE, classify
 from .errors import (ConditionRefused, GsmomentError, IllConditioned,
                      InvalidParameter)
 from .halfplane import borel_ritt_solve
-from .interpolating import interpolation_agreement, two_interpolate
+from .interpolating import interpolation_agreement
 from .solver import (OVERFLOW_LOG, SequenceTarget, lambda_norm,
                      membership_report, reduction_roundtrip, solve_moments)
 from .transforms import OPERATORS, apply_operator
@@ -143,11 +143,10 @@ def _cmd_classify(args):
 
 def _cmd_interpolate(args):
     ws = _weight_from_args(args)
-    pair = two_interpolate(ws)
     agreement = interpolation_agreement(ws)
     payload = {
         "weight": ws.descriptor(),
-        "interpolated_horizon": pair.interpolated.horizon,
+        "interpolated_horizon": 2 * ws.horizon,
         "transfers": agreement,
     }
     code = EXIT_OK

@@ -10,22 +10,25 @@ fine for plotting and sup-norm profiles but lose the cancellation needed
 to reproduce the moments; every residual reported here comes from
 independent arbitrary-precision quadrature against those coefficients.
 
-That quadrature is one tanh-sinh pass (Takahasi-Mori) over all orders at
-once. Since phi(t) = exp(-t - 1/t) sum_k c_k t^k is linear in the
-coefficients, each level's sum for order p is sum_k c_k Q[p + k], where Q
-holds the tanh-sinh sums of t^m exp(-t - 1/t), m = 0..2P, over the levels
-so far. Q does not depend on the solution: its level tables are computed
-once in real arithmetic and kept in the bounded _HANKEL_CACHE, so a warm
-verified solve evaluates phi nowhere. The working precision is the
-largest cancellation headroom over the orders. Levels halve the step
-until the gap between two levels, the error estimate of Bailey,
-Jeyabalan and Li, falls below tolerance * 1e-6 on every order; a pass
-that reaches the level cap first is refused. The error roughly squares
-from one level to the next, so the level returned lies far below the gap
-that stopped the pass. Low-degree targets have a fourth-level gap near
-1e-9; the stop at tolerance * 1e-6 takes them one level on, to residuals
-near 1e-30, which are what a parity-split reduction reports. The pass
-never calls a Bessel routine: the Bessel Gram values only size its
+That quadrature is one trapezoidal pass in s = log t over all orders at
+once. By t = e^s, integral t^m exp(-t - 1/t) dt is the integral over the
+real line of exp((m + 1) s - 2 cosh s) ds, whose integrand is entire and
+decays doubly exponentially, so the plain trapezoidal rule converges
+geometrically in 1/h (Trefethen and Weideman, "The exponentially
+convergent trapezoidal rule", SIAM Review 56, 2014). Since
+phi(t) = exp(-t - 1/t) sum_k c_k t^k is linear in the coefficients, each
+level's sum for order p is sum_k c_k Q[p + k], where Q holds the
+trapezoid sums of t^(m+1) exp(-t - 1/t), m = 0..2P, over the nested
+levels so far: level 0 has step 1 and every integer node, each level on
+halves the step and adds the odd nodes. Q does not depend on the
+solution: its level tables are computed once in real arithmetic and kept
+in the bounded _HANKEL_CACHE, so a warm verified solve evaluates phi
+nowhere. The working precision is the largest cancellation headroom over
+the orders. Levels halve the step until the gap between two levels falls
+below tolerance * 1e-6 on every order; a pass that reaches the level cap
+first is refused. The error roughly squares from one level to the next,
+so the level returned lies far below the gap that stopped the pass. The
+pass never calls a Bessel routine: the Bessel Gram values only size its
 precision.
 
 The Gram values h[m] = 2 K_{m+1}(2), m = 0..2P, are rounded down, rung
@@ -50,7 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
-from mpmath.calculus.quadrature import TanhSinh
 
 from .atoms import _CACHE_SIZE, FLAT, TestFunction, _cached, log_seminorm
 from .bessel import k2_sequence
@@ -66,43 +68,38 @@ MAX_BITS = 4 * PRECISION_LADDER[-1]  # cap on min_bits
 DEFAULT_TOLERANCE = 1e-6
 OVERFLOW_LOG = math.log(np.finfo(float).max)  # ~709.78
 
-_HALF_LINE_POINTS = (0, 1, 5, 25, 90, mp.inf)
-_MAX_LEVEL = 10   # tanh-sinh levels (step 2^-level) before a pass is refused
-_DPS_GRID = 20    # pass precisions round up to this, so few node sets recur
-_TANH_SINH = TanhSinh(mp)
+_MAX_LEVEL = 10   # trapezoid levels (step 2^-level) before a pass is refused
+_DPS_GRID = 20    # pass precisions round up to this, so few tables recur
 
-_NODE_CACHE = OrderedDict()
 _HANKEL_CACHE = OrderedDict()
 
 
-def _level_nodes(points, level, prec):
-    """Tanh-sinh nodes (x, w) new at this level, over every interval
-    between consecutive breakpoints."""
-    def make():
-        nodes = []
-        for a, b in zip(points, points[1:]):
-            nodes.extend(_TANH_SINH.get_nodes(a, b, level, prec))
-        _TANH_SINH.clear()  # _NODE_CACHE is the only cache kept
-        return nodes
-    return _cached(_NODE_CACHE, (points, level, prec), make)
-
-
-def _flat_envelope(t):
-    """exp(-t - 1/t), the flat atom envelope; 0 for t <= 0."""
-    return mp.exp(-t - 1 / t) if t > 0 else mp.zero
-
-
 def _hankel_table(level, count):
-    """Sums of w t^m exp(-t - 1/t), m = 0..count-1, over the half-line
-    tanh-sinh nodes new at this level, in real arithmetic at the working
-    precision."""
+    """Sums of t^(m+1) exp(-t - 1/t), m = 0..count-1, over the trapezoid
+    nodes t = exp(k 2^-level) new at this level (every integer k at level
+    0, odd k above), in real arithmetic at the working precision.
+
+    Each walk from s = log t = 0 stops once every term is below
+    2^(-prec-20) of its running sum, and the upward walk only past
+    t = count, beyond which every term decreases."""
     def make():
         row = [mp.zero] * count
-        for t, w in _level_nodes(_HALF_LINE_POINTS, level, mp.prec):
-            v = w * _flat_envelope(t)
-            for m in range(count):
-                row[m] += v
-                v *= t
+        tiny = mp.ldexp(1, -mp.prec - 20)
+        r = mp.exp(mp.ldexp(1, -level))
+        stride = r if level == 0 else r * r  # every k, or the odd k
+        # (first node, node ratio, t to pass) upward, then downward
+        for t, ratio, floor in ((mp.one if level == 0 else r, stride, count),
+                                (1 / r, 1 / stride, 0)):
+            while True:
+                v = t * mp.exp(-t - 1 / t)
+                small = True
+                for m in range(count):
+                    row[m] += v
+                    small = small and v <= tiny * row[m]
+                    v *= t
+                if small and t > floor:
+                    break
+                t *= ratio
         return tuple(row)
     return _cached(_HANKEL_CACHE, (level, mp.prec, count), make)
 
@@ -126,7 +123,7 @@ def _shared_node_moments(sol):
     with mp.workdps(_DPS_GRID * -(-dps // _DPS_GRID)):
         moments = [mp.zero] * (2 * n - 1)  # Q over the levels so far
         last = None
-        for level in range(1, _MAX_LEVEL + 1):
+        for level in range(_MAX_LEVEL + 1):
             row = _hankel_table(level, 2 * n - 1)
             moments = [q + r for q, r in zip(moments, row)]
             step = mp.ldexp(1, -level)
@@ -139,7 +136,7 @@ def _shared_node_moments(sol):
                     return sums
             last = sums
     raise IllConditioned(
-        "quadrature unresolved at tanh-sinh level %d: the last level moved "
+        "quadrature unresolved at trapezoid level %d: the last level moved "
         "a moment by %.3e relative, above %.1e" % (_MAX_LEVEL, gap, slack))
 
 
@@ -479,11 +476,6 @@ class ReductionResult:
         if np.ndim(x):
             return out
         return float(out[0]) if out.dtype != complex else complex(out[0])
-
-    def to_dict(self):
-        return {"even": self.even_solution.to_dict(),
-                "odd": self.odd_solution.to_dict(),
-                "residuals": list(self.residuals)}
 
 
 def reduction_roundtrip(target, ws, override_gamma2=False,

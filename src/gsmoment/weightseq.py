@@ -175,14 +175,6 @@ class WeightSequence:
             return np.asarray(self._vec(idx.astype(float)), dtype=float)
         return self.log_values[idx]
 
-    def ratio(self, p):
-        """log m_p = log M_p - log M_{p-1}, defined for p >= 1."""
-        if p < 1:
-            raise IndexOutOfHorizon("ratios start at p = 1, got %d" % p)
-        if p <= self.horizon:
-            return float(self._log_ratios[p - 1])
-        return self.log_weight(p) - self.log_weight(p - 1)
-
     def descriptor(self):
         """JSON-ready description: kind, parameters, horizon."""
         params = {}

@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 import gsmoment
-from gsmoment import conditions
+from gsmoment import cli, conditions, interpolating
 from gsmoment.cli import main
 
 GEVREY3 = '{"kind":"gevrey","params":{"alpha":3.0}}'
@@ -82,6 +82,21 @@ def test_interpolate_reports_transfers(capsys):
     data = json.loads(out)
     assert set(data["transfers"]) == {"dc", "gamma_halved", "beta"}
     assert data["interpolated_horizon"] == 2048
+
+
+def test_interpolate_builds_the_interpolant_once(monkeypatch, capsys):
+    calls = [0]
+    plain = interpolating.two_interpolate
+
+    def counted(ws):
+        calls[0] += 1
+        return plain(ws)
+    for module in (interpolating, cli):  # wherever the name is bound
+        if hasattr(module, "two_interpolate"):
+            monkeypatch.setattr(module, "two_interpolate", counted)
+    code, out, err = run(["interpolate", "--weight", TABLE2], capsys)
+    assert json.loads(out)["interpolated_horizon"] == 512
+    assert calls[0] == 1
 
 
 def test_seminorm_outputs_value_and_argmax(capsys):

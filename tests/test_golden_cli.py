@@ -1,5 +1,6 @@
-"""Golden outputs of the seven README command-line examples, and of two
-classify runs that pin every condition's report.
+"""Golden outputs of the seven README command-line examples, of two
+classify runs that pin every condition's report, and of one solve run
+with the parity-split reduction: ten examples.
 
 Each example's stdout and exit code, and the CSV file that the classify
 example writes, are stored under tests/golden/ and compared byte for
@@ -7,6 +8,9 @@ byte through cli.main. A change that alters any of them must regenerate
 the files on purpose and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+The regenerator prints, for each file it rewrites, the JSON paths whose
+values moved (old -> new) before it writes anything.
 """
 
 import contextlib
@@ -47,6 +51,8 @@ EXAMPLES = {
               "--membership"],
     "borel-ritt": ["borel-ritt", "--weight", GEVREY3,
                    "--entries", "[1.0, [0.0, 1.0], -0.5]"],
+    "solve-reduction": ["solve", "--weight", GEVREY3, "--target",
+                        "[1.0, 0.5, 2.0, -1.0, 4.0]", "--reduction"],
     "verify": ["verify", "--weight", GEVREY3],
     "classify-qgevrey": ["classify", "--weight",
                          '{"kind":"qgevrey","params":{"q":1.5}}',
@@ -78,17 +84,60 @@ def test_readme_example_output_is_unchanged(name, tmp_path):
         assert csv == (GOLDEN / ("%s.csv" % name)).read_bytes()
 
 
+def _moved_paths(old, new, path="$"):
+    """(path, old, new) for each JSON path whose value differs."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            sub = "%s.%s" % (path, key)
+            if key in old and key in new:
+                yield from _moved_paths(old[key], new[key], sub)
+            else:
+                yield sub, old.get(key, "(absent)"), new.get(key, "(absent)")
+    elif (isinstance(old, list) and isinstance(new, list)
+          and len(old) == len(new)):
+        for i, (o, n) in enumerate(zip(old, new)):
+            yield from _moved_paths(o, n, "%s[%d]" % (path, i))
+    elif old != new or type(old) is not type(new):
+        yield path, old, new
+
+
+def _report_moved(path, data):
+    """Print what rewriting path with data changes."""
+    if not path.exists():
+        print("%s: new file" % path.name)
+        return
+    stored = path.read_bytes()
+    if stored == data:
+        return
+    if path.suffix != ".json":
+        print("%s: bytes differ" % path.name)
+        return
+    moved = list(_moved_paths(json.loads(stored), json.loads(data)))
+    if not moved:
+        print("%s: same values, bytes differ" % path.name)
+    for where, old, new in moved:
+        print("%s: %s: %s -> %s" % (path.name, where, json.dumps(old),
+                                    json.dumps(new)))
+
+
 def regenerate():
+    """Rerun every example and rewrite its golden files, first printing
+    the JSON paths whose values moved."""
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
+    files = {}
     with tempfile.TemporaryDirectory() as workdir:
         for name in sorted(EXAMPLES):
             codes[name], out, csv = run_example(name, workdir)
-            (GOLDEN / ("%s.json" % name)).write_bytes(out)
+            files[GOLDEN / ("%s.json" % name)] = out
             if csv is not None:
-                (GOLDEN / ("%s.csv" % name)).write_bytes(csv)
-    (GOLDEN / "exit_codes.json").write_text(
-        json.dumps(codes, sort_keys=True, indent=2) + "\n")
+                files[GOLDEN / ("%s.csv" % name)] = csv
+    files[GOLDEN / "exit_codes.json"] = (
+        json.dumps(codes, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    for path, data in files.items():
+        _report_moved(path, data)
+    for path, data in files.items():
+        path.write_bytes(data)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 from mpmath import mp
+from mpmath.calculus.quadrature import TanhSinh
 from scipy.integrate import quad
 
 from gsmoment import (ConditionRefused, IllConditioned, InvalidParameter,
@@ -288,22 +289,25 @@ def test_warm_verification_evaluates_no_phi(monkeypatch):
 
 
 def _direct_pass(sol):
-    """The verifier's sums the direct way: phi(t) t^j accumulated at every
-    node of the same levels, at the same precision, with the same stop
-    rule."""
+    """The verifier's sums by a different rule: phi(t) t^j accumulated
+    at every tanh-sinh node (Takahasi-Mori, mpmath's nodes) of the half
+    line split at 1, 5, 25 and 90, level by level at the same precision,
+    with the same stop rule."""
     n = sol.degree + 1
     dps = max(sol._headroom_dps())
     scales = [max(1.0, abs(a)) for a in sol.target.entries]
+    points = (0, 1, 5, 25, 90, mp.inf)
+    rule = TanhSinh(mp)
     with mp.workdps(solver._DPS_GRID * -(-dps // solver._DPS_GRID)):
         raw = [mp.zero] * n
         last = None
         for level in range(1, solver._MAX_LEVEL + 1):
-            for t, w in solver._level_nodes(solver._HALF_LINE_POINTS,
-                                            level, mp.prec):
-                v = w * sol.eval_mp(t)
-                for j in range(n):
-                    raw[j] += v
-                    v *= t
+            for a, b in zip(points, points[1:]):
+                for t, w in rule.get_nodes(a, b, level, mp.prec):
+                    v = w * sol.eval_mp(t)
+                    for j in range(n):
+                        raw[j] += v
+                        v *= t
             sums = [mp.ldexp(1, -level) * r for r in raw]
             if last is not None and max(
                     float(abs(s - q)) / c
@@ -328,12 +332,12 @@ def test_hankel_sums_match_a_direct_pass(seed):
 
 
 def test_unresolved_quadrature_is_refused(monkeypatch):
-    monkeypatch.setattr(solver, "_MAX_LEVEL", 5)
+    monkeypatch.setattr(solver, "_MAX_LEVEL", 4)
     target = unit_ball_target(WS3, 12, 0.25, seed=0)
     with pytest.raises(IllConditioned) as info:
         solve_moments(target, WS3, tolerance=1e-6)
     msg = str(info.value)
-    assert "level 5" in msg
+    assert "level 4" in msg
     gap = float(re.search(r"by (\S+) relative", msg).group(1))
     assert gap > 1.0
 
@@ -394,9 +398,26 @@ def test_benchmark_reference_imports_nothing_from_the_package():
 
 def test_module_caches_stay_bounded():
     for dps in range(20, 20 * 15, 20):
-        for level in (1, 2, 3):
+        for level in (0, 1, 2):
             with mp.workdps(dps):
-                solver._level_nodes(solver._HALF_LINE_POINTS, level, mp.prec)
                 solver._hankel_table(level, 3)
-        assert len(solver._NODE_CACHE) <= solver._CACHE_SIZE
         assert len(solver._HANKEL_CACHE) <= solver._CACHE_SIZE
+
+
+@pytest.mark.parametrize("dps", [60, 200])
+@pytest.mark.parametrize("degree", [2, 24])
+def test_trapezoid_tables_converge_to_the_gram_values(dps, degree):
+    # the verifier's cumulative sums times the step tend to
+    # 2 K_{m+1}(2); the test may read both, the solver never does
+    count = 2 * degree + 1
+    with mp.workdps(dps):
+        gram = solver._gram_hankel(degree + 1, mp.prec)
+        bound = mp.ldexp(1, 10 - mp.prec)
+        sums = [mp.zero] * count
+        for level in range(solver._MAX_LEVEL + 1):
+            row = solver._hankel_table(level, count)
+            sums = [q + r for q, r in zip(sums, row)]
+            if all(abs(mp.ldexp(q, -level) - g) <= bound * g
+                   for q, g in zip(sums, gram)):
+                return
+    raise AssertionError("trapezoid sums never met the Gram values")
