@@ -348,15 +348,21 @@ def default_grid(ws, h, whole_line=False):
     return pos
 
 
-def _weighted_log_profile(phi, orders, h, ws, grid):
+def _weighted_log_profile(phi, orders, h, ws, grid, rows):
     """For each m in orders: log sup over the grid of |phi^(m)| e^{M(h|x|)}.
 
-    Returns (per-order log sups, argmax locations)."""
+    rows maps (grid bytes, m) to log|phi^(m)| on that grid; a missing
+    row is computed and stored. Returns (per-order log sups, argmax
+    locations)."""
     assoc = ws.associated()
     weight = assoc.values(h * np.abs(grid))
+    key = grid.tobytes()
     sups, args = [], []
     for m in orders:
-        vals = phi.log_abs_derivative(grid, m) + weight
+        row = rows.get((key, m))
+        if row is None:
+            row = rows[key, m] = phi.log_abs_derivative(grid, m)
+        vals = row + weight
         i = int(np.argmax(vals))
         sups.append(float(vals[i]))
         args.append(float(grid[i]))
@@ -371,6 +377,40 @@ def _refine_about(x0, upper, spread):
     return np.linspace(lo, hi, 65)
 
 
+def _seminorm_scales(ws, order_caps, scales):
+    """The scales as floats, once the weight, every order cap and every
+    scale pass the checks of log_seminorm."""
+    if not isinstance(ws, WeightSequence):
+        raise InvalidParameter("seminorm needs a WeightSequence weight")
+    if any(n < 0 for n in order_caps):
+        raise InvalidParameter("order cap must be >= 0")
+    scales = [float(h) for h in scales]
+    if not all(h > 0.0 for h in scales):
+        raise InvalidParameter("scale h must be positive")
+    return scales
+
+
+def _log_seminorm(phi, order_cap, h, ws, grid, rows):
+    """log_seminorm on checked arguments and a float grid, reading and
+    filling the derivative rows of _weighted_log_profile."""
+    if grid.size == 0 or phi.is_zero:
+        return -math.inf, {"argmax_x": None, "argmax_m": None}
+    orders = list(range(order_cap + 1))
+    upper = _grid_upper(ws, h)
+    sups, args = _weighted_log_profile(phi, orders, h, ws, grid, rows)
+    best_m = int(np.argmax(sups))
+    best, best_x = sups[best_m], args[best_m]
+    # two refinement passes around the argmax, wide then narrow
+    for spread in (2.0, 1.04):
+        local = _refine_about(abs(best_x) if best_x != 0 else 1e-4, upper, spread)
+        if best_x < 0:
+            local = -local
+        s2, a2 = _weighted_log_profile(phi, [best_m], h, ws, local, rows)
+        if s2[0] > best:
+            best, best_x = s2[0], a2[0]
+    return best, {"argmax_x": best_x, "argmax_m": best_m}
+
+
 def log_seminorm(phi, order_cap, h, ws, grid=None):
     """log of max_{m<=n} sup_x |phi^(m)(x)| exp(M(h|x|)), with refinement.
 
@@ -379,33 +419,11 @@ def log_seminorm(phi, order_cap, h, ws, grid=None):
     passes around the running argmax, so refining the grid further can
     only increase the value within tolerance.
     """
-    if not isinstance(ws, WeightSequence):
-        raise InvalidParameter("seminorm needs a WeightSequence weight")
-    if order_cap < 0:
-        raise InvalidParameter("order cap must be >= 0")
-    h = float(h)
-    if not (h > 0.0):
-        raise InvalidParameter("scale h must be positive")
-    whole = phi.support == "real"
+    (h,) = _seminorm_scales(ws, (order_cap,), (h,))
     if grid is None:
-        grid = default_grid(ws, h, whole_line=whole)
+        grid = default_grid(ws, h, whole_line=phi.support == "real")
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or phi.is_zero:
-        return -math.inf, {"argmax_x": None, "argmax_m": None}
-    orders = list(range(order_cap + 1))
-    upper = _grid_upper(ws, h)
-    sups, args = _weighted_log_profile(phi, orders, h, ws, grid)
-    best_m = int(np.argmax(sups))
-    best, best_x = sups[best_m], args[best_m]
-    # two refinement passes around the argmax, wide then narrow
-    for spread in (2.0, 1.04):
-        local = _refine_about(abs(best_x) if best_x != 0 else 1e-4, upper, spread)
-        if best_x < 0:
-            local = -local
-        s2, a2 = _weighted_log_profile(phi, [best_m], h, ws, local)
-        if s2[0] > best:
-            best, best_x = s2[0], a2[0]
-    return best, {"argmax_x": best_x, "argmax_m": best_m}
+    return _log_seminorm(phi, order_cap, h, ws, grid, {})
 
 
 def seminorm(phi, order_cap, h, ws, grid=None):
@@ -431,7 +449,7 @@ def dual_seminorm_pair(phi, weight_ws, amplitude_ws, h, order_cap, grid=None):
     if grid.size == 0 or phi.is_zero:
         return 0.0
     orders = list(range(order_cap + 1))
-    sups, _ = _weighted_log_profile(phi, orders, h, weight_ws, grid)
+    sups, _ = _weighted_log_profile(phi, orders, h, weight_ws, grid, {})
     best = -math.inf
     lnh = math.log(h)
     for q in orders:

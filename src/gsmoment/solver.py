@@ -54,7 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .atoms import _CACHE_SIZE, FLAT, TestFunction, _cached, log_seminorm
+from .atoms import (_CACHE_SIZE, FLAT, TestFunction, _cached, _log_seminorm,
+                    _seminorm_scales, default_grid)
 from .bessel import k2_sequence
 from .conditions import HOLDS, check_condition
 from .errors import (ConditionRefused, IllConditioned, InvalidParameter,
@@ -427,12 +428,21 @@ def membership_report(phi, ws, order_caps=(0, 2, 4, 8),
                       scales=(0.25, 1.0, 4.0)):
     """Sup-norm profile of phi over (order cap, scale) cells against the
     weight. Each cell carries a Finite/Overflow status; log values are
-    always reported so overflowing cells stay comparable."""
+    always reported so overflowing cells stay comparable.
+
+    Each cell is log_seminorm of phi at its order cap and scale: the sup
+    over the scale's default grid, then two refinement passes around the
+    argmax. Each (grid, order) row log|phi^(m)| is computed once per
+    report and shared by every cell that reads it."""
+    scales = _seminorm_scales(ws, order_caps, scales)
+    whole = phi.support == "real"
+    grids = {h: default_grid(ws, h, whole_line=whole) for h in scales}
+    rows = {}
     cells = []
     all_finite = True
     for n_cap in order_caps:
         for h in scales:
-            logv, where = log_seminorm(phi, n_cap, h, ws)
+            logv, where = _log_seminorm(phi, n_cap, h, ws, grids[h], rows)
             over = logv > OVERFLOW_LOG
             if over:
                 all_finite = False

@@ -1,6 +1,7 @@
 """Golden outputs of the seven README command-line examples, of two
-classify runs that pin every condition's report, and of one solve run
-with the parity-split reduction: ten examples.
+classify runs that pin every condition's report, of one solve run with
+the parity-split reduction, and of one degree-8 solve with its
+membership profile: eleven examples.
 
 Each example's stdout and exit code, and the CSV file that the classify
 example writes, are stored under tests/golden/ and compared byte for
@@ -35,6 +36,11 @@ FLAT0 = '{"atoms":[["flat_halfline",0,1.0,0.0]]}'
 DENTED = json.dumps({"kind": "table", "params": {"log_values": [
     2.0 * math.lgamma(p + 1) + (0.5 if p == 40 else 0.0)
     for p in range(129)]}})
+# a fixed degree-8 complex target at h = 1, inside the unit ball of gevrey(3)
+BALL8 = ('{"h":1.0,"entries":[[-0.7746,0.1582],[-0.3098,0.8951],'
+         '[-1.252,6.934],[-3.136,102.5],[-7127.0,2562.0],'
+         '[-1.614e6,-4.615e4],[-2.557e7,-8.933e6],[1.16e11,-3.28e9],'
+         '[1.55e13,-5.643e13]]}')
 EVERY_CONDITION = ("lc,dc,mg,gamma,gamma1,gamma2,gamma_r(3),beta2,beta2_0,"
                    "beta2_1,gamma_r(2.5)")
 
@@ -53,6 +59,8 @@ EXAMPLES = {
                    "--entries", "[1.0, [0.0, 1.0], -0.5]"],
     "solve-reduction": ["solve", "--weight", GEVREY3, "--target",
                         "[1.0, 0.5, 2.0, -1.0, 4.0]", "--reduction"],
+    "solve-membership-ball": ["solve", "--weight", GEVREY3, "--target",
+                              BALL8, "--membership"],
     "verify": ["verify", "--weight", GEVREY3],
     "classify-qgevrey": ["classify", "--weight",
                          '{"kind":"qgevrey","params":{"q":1.5}}',

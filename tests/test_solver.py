@@ -13,10 +13,12 @@ from scipy.integrate import quad
 
 from gsmoment import (ConditionRefused, IllConditioned, InvalidParameter,
                       MomentSolution, SequenceTarget, TargetTooLarge,
-                      gevrey, lambda_norm, membership_report,
+                      TestFunction, flat, gauss_poly, gevrey,
+                      lambda_norm, log_seminorm, membership_report,
                       q_gevrey, reduction_roundtrip, solve_moments,
                       unit_ball_target)
 from gsmoment import bessel, halfplane, solver
+from gsmoment.atoms import default_grid
 
 WS3 = gevrey(3.0, horizon=256)
 
@@ -194,6 +196,68 @@ def test_membership_profile_of_a_solution_is_finite():
     for cell in report["cells"]:
         assert cell["status"] == "Finite"
         assert math.isfinite(cell["log_value"])
+
+
+def _ball12_function():
+    """The degree-12 seed-0 unit-ball solution on gevrey(3)."""
+    target = unit_ball_target(WS3, 12, 0.25, seed=0)
+    return solve_moments(target, WS3, verify=False).function
+
+
+def _count_log_rows(monkeypatch):
+    calls = [0]
+    orig = TestFunction.log_abs_derivative
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(TestFunction, "log_abs_derivative", counting)
+    return calls
+
+
+def test_membership_report_builds_each_derivative_row_once(monkeypatch):
+    ball = _ball12_function()
+    calls = _count_log_rows(monkeypatch)
+    membership_report(ball, WS3)
+    # the three scales share one grid on gevrey(3): 9 rows for orders
+    # 0..8 plus 14 distinct refinement rows, where one log_seminorm per
+    # cell makes 54 + 24 = 78
+    assert calls[0] == 23
+    # a second report recomputes every row it reads: none survives a call
+    calls[0] = 0
+    membership_report(flat(0), WS3)
+    assert calls[0] == 19
+    calls[0] = 0
+    membership_report(ball, WS3)
+    assert calls[0] == 23
+
+
+WS1 = gevrey(1.0, horizon=256)
+
+
+@pytest.mark.parametrize("case", ["ball", "whole-line", "flat-mix"])
+def test_membership_cells_equal_a_fresh_log_seminorm(case):
+    if case == "ball":
+        phi, ws = _ball12_function(), WS3
+    elif case == "whole-line":
+        reflected = TestFunction([("flat_halfline", 1, 0.5, 0.0, True)])
+        phi, ws = gauss_poly(2) + reflected, WS3
+    else:
+        phi = TestFunction([("flat_halfline", 0, 1.0),
+                            ("flat_halfline", 2, -0.5j),
+                            ("flat_halfline", -1, 2.0)])
+        ws = WS1
+        # grid uppers 1024 / 256 / 64: no row is shared across scales
+        uppers = [default_grid(ws, h)[-1] for h in (0.25, 1.0, 4.0)]
+        assert len(set(uppers)) == 3
+    report = membership_report(phi, ws)
+    assert len(report["cells"]) == 12
+    for cell in report["cells"]:
+        logv, where = log_seminorm(phi, cell["order_cap"], cell["scale"], ws)
+        assert cell["log_value"] == logv
+        assert cell["argmax_x"] == where["argmax_x"]
+        assert cell["argmax_order"] == where["argmax_m"]
 
 
 def test_reduction_roundtrip_mixed_parity():
