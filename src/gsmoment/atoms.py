@@ -8,11 +8,14 @@ Atoms:
     that division by x stays inside the family.
   * gaussian_poly  g_k(x) = x^k exp(-x^2) on the whole line, k >= 0.
 
-Derivatives are maintained symbolically: differentiating a (Laurent)
-polynomial times the envelope stays in the same class, with integer
-coefficients, so no finite differences enter anywhere. Evaluation runs in
-a shifted log domain so that the huge polynomial factors and the tiny
-envelopes never overflow or underflow each other.
+Derivatives are maintained symbolically: the atoms of a test function
+fall into three envelope groups (flat, reflected flat with y = -x, and
+Gaussian), each one Laurent polynomial in y times its envelope E(y), and
+differentiating such a product stays in the same class, so no finite
+differences enter anywhere. Each instance holds the polynomials of every
+order it has been asked for. Evaluation sums every term of every group
+once in a shifted log domain, so that the huge polynomial factors and the
+tiny envelopes never overflow or underflow each other.
 
 Moments are closed forms: integral x^(p+k) exp(-1/x-x) dx over (0, inf)
 equals 2 K_{p+k+1}(2) (modified Bessel, second kind), and the Gaussian
@@ -21,8 +24,9 @@ moments are Gamma((p+k+1)/2) for even p+k and zero for odd.
 
 from __future__ import annotations
 
+import cmath
 import math
-from collections import OrderedDict
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,19 +40,6 @@ GAUSS = "gaussian_poly"
 
 MIN_FLAT_POWER = -8
 MAX_DERIVATIVE_ORDER = 64
-_CACHE_SIZE = 32  # entries kept by each least-recently-used module cache
-
-
-def _cached(cache, key, make):
-    """cache[key], from make() on a miss; beyond _CACHE_SIZE entries the
-    least recently used one goes."""
-    if key in cache:
-        cache.move_to_end(key)
-        return cache[key]
-    value = cache[key] = make()
-    if len(cache) > _CACHE_SIZE:
-        cache.popitem(last=False)
-    return value
 
 
 @dataclass(frozen=True)
@@ -69,82 +60,24 @@ class Atom:
             raise InvalidParameter("gaussian_poly power must be >= 0")
 
 
-# (kind, k) -> list of coefficient dicts, entry m holds the polynomial
-# factor of the m-th derivative as {power: integer coefficient}; filled
-# through _cached, so it keeps at most _CACHE_SIZE powers
-_DERIV_CACHE = OrderedDict()
-
-
-def _derivative_coeffs(kind, k, m):
-    if m > MAX_DERIVATIVE_ORDER:
-        raise DepthExceeded(
-            "derivative order %d beyond cap %d" % (m, MAX_DERIVATIVE_ORDER))
-    key = (kind, k)
-    chain = _cached(_DERIV_CACHE, key, lambda: [{k: 1}])
-    while len(chain) <= m:
-        prev = chain[-1]
-        nxt = {}
-        for j, c in prev.items():
-            if j != 0:
-                nxt[j - 1] = nxt.get(j - 1, 0) + j * c
-            if kind == FLAT:
-                # envelope rule: E' = (x^-2 - 1) E
-                nxt[j - 2] = nxt.get(j - 2, 0) + c
-                nxt[j] = nxt.get(j, 0) - c
-            else:
-                # envelope rule: E' = -2x E
-                nxt[j + 1] = nxt.get(j + 1, 0) - 2 * c
-        chain.append({j: c for j, c in nxt.items() if c != 0})
-    return chain[m]
-
-
-def _atom_log_parts(atom, x, m):
-    """(sign, log|value|) of the m-th derivative of the bare atom at x.
-
-    Exact zero (outside support, or after full cancellation) reports
-    log-magnitude -inf. The reflection h(x) = a(-x) contributes the parity
-    factor (-1)^m and evaluation at -x.
-    """
-    x = np.asarray(x, dtype=float)
-    y = -x if atom.reflected else x
-    coeffs = _derivative_coeffs(atom.kind, atom.k, m)
-    powers = np.array(sorted(coeffs), dtype=float)
-    cvals = np.array([coeffs[int(j)] for j in powers], dtype=float)
-    sign = np.zeros(x.shape, dtype=float)
-    logabs = np.full(x.shape, -math.inf)
-    if atom.kind == FLAT:
-        inside = y > 0.0
-    else:
-        inside = np.isfinite(y)
-    if not inside.any():
-        return sign, logabs
-    yi = y[inside]
-    env = (-1.0 / yi - yi) if atom.kind == FLAT else -np.square(yi)
-    nz = yi != 0.0
-    logy = np.where(nz, np.log(np.abs(np.where(nz, yi, 1.0))), 0.0)
-    # term magnitudes log|c_j| + j log y + envelope, summed after a shift
-    logterm = np.log(np.abs(cvals))[:, None] + powers[:, None] * logy[None, :] \
-        + env[None, :]
-    if not nz.all():
-        # at y = 0 only the constant term survives (gauss only; flat excludes 0)
-        dead = (powers[:, None] > 0) & (~nz)[None, :]
-        logterm = np.where(dead, -math.inf, logterm)
-    shift = logterm.max(axis=0)
-    safe_shift = np.where(np.isfinite(shift), shift, 0.0)
-    signs = np.sign(cvals)[:, None]
-    if atom.kind == GAUSS:
-        neg = yi < 0.0
-        odd = (powers % 2.0) != 0.0
-        signs = np.where(odd[:, None] & neg[None, :], -signs, signs)
-    total = np.sum(signs * np.exp(logterm - safe_shift[None, :]), axis=0)
-    mag = np.where(total != 0.0, shift + np.log(np.abs(np.where(total != 0.0, total, 1.0))),
-                   -math.inf)
-    sgn = np.sign(total)
-    if atom.reflected and m % 2 == 1:
-        sgn = -sgn
-    sign[inside] = sgn
-    logabs[inside] = mag
-    return sign, logabs
+def _next_order(group):
+    """The group of the next derivative in x: d/dy of p(y) E(y) is
+    (p'(y) + p(y) E'(y)/E(y)) E(y), and y = -x flips its sign for a
+    reflected group."""
+    kind, reflected, poly = group
+    nxt = {}
+    for j, c in poly.items():
+        if j != 0:
+            nxt[j - 1] = nxt.get(j - 1, 0) + j * c
+        if kind == FLAT:
+            # envelope rule: E' = (y^-2 - 1) E
+            nxt[j - 2] = nxt.get(j - 2, 0) + c
+            nxt[j] = nxt.get(j, 0) - c
+        else:
+            # envelope rule: E' = -2y E
+            nxt[j + 1] = nxt.get(j + 1, 0) - 2 * c
+    sign = -1 if reflected else 1
+    return kind, reflected, {j: sign * c for j, c in nxt.items() if c != 0}
 
 
 def gauss_moment(n):
@@ -220,6 +153,21 @@ class TestFunction:
         items = [(a, c) for a, c in merged.items() if c != 0]
         items.sort(key=lambda ac: (ac[0].kind, ac[0].k, ac[0].reflected))
         self.atoms = tuple(items)
+        # the coefficients over the power of two at or below their largest
+        # part, exactly, so the rule's growth (~1e100 at order 64) starts
+        # from parts below 2; the log of that scale joins every shift
+        top = max((max(abs(c.real), abs(c.imag)) for _, c in items),
+                  default=1.0)
+        e = math.frexp(top)[1] - 1
+        self._log_scale = e * math.log(2.0)
+        groups = {}
+        for atom, coeff in items:
+            groups.setdefault((atom.kind, atom.reflected), {})[atom.k] = \
+                complex(math.ldexp(coeff.real, -e), math.ldexp(coeff.imag, -e))
+        # entry m: the envelope groups (kind, reflected, {power: coeff}) of
+        # the m-th derivative
+        self._orders = (tuple((kind, reflected, poly) for (kind, reflected),
+                              poly in groups.items()),)
 
     @property
     def is_zero(self):
@@ -247,16 +195,71 @@ class TestFunction:
     def __sub__(self, other):
         return self + (other * -1.0)
 
-    def eval_derivative(self, x, m=0):
-        """Pointwise m-th derivative. Scalar in, scalar out."""
+    def _groups(self, m):
+        """The envelope groups of the m-th derivative."""
         if m < 0:
             raise InvalidParameter("derivative order must be >= 0")
+        if m > MAX_DERIVATIVE_ORDER:
+            raise DepthExceeded(
+                "derivative order %d beyond cap %d" % (m, MAX_DERIVATIVE_ORDER))
+        orders = self._orders
+        while len(orders) <= m:
+            nxt = tuple(_next_order(g) for g in orders[-1])
+            if not all(cmath.isfinite(c) for _, _, poly in nxt
+                       for c in poly.values()):
+                raise DepthExceeded("derivative coefficients of order %d "
+                                    "beyond float range" % len(orders))
+            orders += (nxt,)
+        self._orders = orders  # one assignment, so readers see a whole table
+        return orders[m]
+
+    def _shifted_sum(self, x, m):
+        """(shift, acc) with phi^(m)(x) = acc * exp(shift) on a float array.
+
+        Every term c y^j E(y) of every envelope group is summed once after
+        one shift, the largest term log-magnitude at each point; shift is
+        -inf, and acc 0, where no term is alive.
+        """
+        logs, phases = [], []
+        for kind, reflected, poly in self._groups(m):
+            y = -x if reflected else x
+            inside = np.isfinite(y)
+            if kind == FLAT:
+                inside &= y > 0.0
+                ys = np.where(inside, y, 1.0)
+                env = -1.0 / ys - ys
+            else:
+                ys = np.where(inside, y, 0.0)
+                env = -np.square(ys)
+            terms = sorted(poly.items())
+            powers = np.array([j for j, _ in terms], dtype=float)[:, None]
+            mods = np.array([abs(c) for _, c in terms])[:, None]
+            # c / |c| per coefficient in Python: numpy's complex division
+            # overflows on a subnormal modulus
+            units = np.array([c / abs(c) for _, c in terms])[:, None]
+            nz = ys != 0.0
+            logy = np.log(np.abs(np.where(nz, ys, 1.0)))
+            logterm = np.log(mods) + powers * logy + env
+            # off the support every term dies; at y = 0 (Gaussian only)
+            # every term but the constant one
+            dead = ~inside | ((powers != 0.0) & ~nz)
+            logs.append(np.where(dead, -math.inf, logterm))
+            odd = ((powers % 2.0) != 0.0) & (ys < 0.0)  # y^j = (-1)^j |y|^j
+            phases.append(np.where(odd, -1.0, 1.0) * units)
+        if not logs:
+            return np.full(x.shape, -math.inf), np.zeros(x.shape, dtype=complex)
+        logterm = np.concatenate(logs)
+        shift = logterm.max(axis=0)
+        safe_shift = np.where(np.isfinite(shift), shift, 0.0)
+        acc = np.sum(np.concatenate(phases) * np.exp(logterm - safe_shift),
+                     axis=0)
+        return shift + self._log_scale, acc
+
+    def eval_derivative(self, x, m=0):
+        """Pointwise m-th derivative. Scalar in, scalar out."""
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        total = np.zeros(x_arr.shape, dtype=complex)
-        for atom, coeff in self.atoms:
-            sign, logabs = _atom_log_parts(atom, x_arr, m)
-            vals = np.where(np.isfinite(logabs), sign * np.exp(logabs), 0.0)
-            total += coeff * vals
+        shift, acc = self._shifted_sum(x_arr, m)
+        total = acc * np.exp(shift)
         if self.is_real:
             total = total.real
         if np.ndim(x):
@@ -269,29 +272,14 @@ class TestFunction:
     def log_abs_derivative(self, x, m=0):
         """log |phi^(m)(x)|, stable far below float underflow.
 
-        Cancellation across atoms is carried out in a shifted domain, so
+        Cancellation across terms is carried out in a shifted domain, so
         the result is meaningful even where the value itself would flush
         to zero as a float.
         """
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if not self.atoms:
-            out = np.full(x_arr.shape, -math.inf)
-            return out if np.ndim(x) else float(out[0])
-        parts = []
-        for atom, coeff in self.atoms:
-            sign, logabs = _atom_log_parts(atom, x_arr, m)
-            parts.append((coeff, sign, logabs + math.log(abs(coeff))))
-        shift = np.maximum.reduce([la for _, _, la in parts])
-        safe_shift = np.where(np.isfinite(shift), shift, 0.0)
-        acc = np.zeros(x_arr.shape, dtype=complex)
-        for coeff, sign, la in parts:
-            scaled = np.where(np.isfinite(la), np.exp(la - safe_shift), 0.0)
-            phase = coeff / abs(coeff)
-            acc += phase * sign * scaled
-        mag = np.abs(acc)
-        out = np.where(mag > 0.0, shift + np.log(np.where(mag > 0.0, mag, 1.0)),
-                       -math.inf)
-        out = np.where(np.isfinite(shift), out, -math.inf)
+        shift, acc = self._shifted_sum(x_arr, m)
+        with np.errstate(divide="ignore"):  # log 0 = -inf where acc is 0
+            out = shift + np.log(np.abs(acc))
         return out if np.ndim(x) else float(out[0])
 
     def moment(self, p):
@@ -382,11 +370,11 @@ def _seminorm_scales(ws, order_caps, scales):
     scale pass the checks of log_seminorm."""
     if not isinstance(ws, WeightSequence):
         raise InvalidParameter("seminorm needs a WeightSequence weight")
-    if any(n < 0 for n in order_caps):
-        raise InvalidParameter("order cap must be >= 0")
+    if not all(isinstance(n, numbers.Integral) and n >= 0 for n in order_caps):
+        raise InvalidParameter("order cap must be an integer >= 0")
     scales = [float(h) for h in scales]
-    if not all(h > 0.0 for h in scales):
-        raise InvalidParameter("scale h must be positive")
+    if not all(0.0 < h < math.inf for h in scales):
+        raise InvalidParameter("scale h must be positive and finite")
     return scales
 
 
@@ -437,11 +425,9 @@ def seminorm(phi, order_cap, h, ws, grid=None):
 def dual_seminorm_pair(phi, weight_ws, amplitude_ws, h, order_cap, grid=None):
     """Norm combining a weight sequence in x and one in the derivative
     order: max over q <= cap of (h^q / A_q) sup_x |phi^(q)(x)| e^{M(h|x|)}."""
+    (h,) = _seminorm_scales(weight_ws, (order_cap,), (h,))
     if order_cap > amplitude_ws.horizon:
         raise InvalidParameter("order cap beyond the amplitude horizon")
-    h = float(h)
-    if not (h > 0.0):
-        raise InvalidParameter("scale h must be positive")
     whole = phi.support == "real"
     if grid is None:
         grid = default_grid(weight_ws, h, whole_line=whole)

@@ -54,13 +54,12 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .atoms import (_CACHE_SIZE, FLAT, TestFunction, _cached, _log_seminorm,
-                    _seminorm_scales, default_grid)
+from .atoms import (FLAT, TestFunction, _log_seminorm, _seminorm_scales,
+                    default_grid)
 from .bessel import k2_sequence
 from .conditions import HOLDS, check_condition
 from .errors import (ConditionRefused, IllConditioned, InvalidParameter,
                      TargetTooLarge)
-from .transforms import square_substitute
 from .weightseq import WeightSequence
 
 DEGREE_CAP = 32
@@ -72,6 +71,7 @@ OVERFLOW_LOG = math.log(np.finfo(float).max)  # ~709.78
 _MAX_LEVEL = 10   # trapezoid levels (step 2^-level) before a pass is refused
 _DPS_GRID = 20    # pass precisions round up to this, so few tables recur
 
+_CACHE_SIZE = 32  # least recently used Hankel tables kept
 _HANKEL_CACHE = OrderedDict()
 
 
@@ -82,27 +82,33 @@ def _hankel_table(level, count):
 
     Each walk from s = log t = 0 stops once every term is below
     2^(-prec-20) of its running sum, and the upward walk only past
-    t = count, beyond which every term decreases."""
-    def make():
-        row = [mp.zero] * count
-        tiny = mp.ldexp(1, -mp.prec - 20)
-        r = mp.exp(mp.ldexp(1, -level))
-        stride = r if level == 0 else r * r  # every k, or the odd k
-        # (first node, node ratio, t to pass) upward, then downward
-        for t, ratio, floor in ((mp.one if level == 0 else r, stride, count),
-                                (1 / r, 1 / stride, 0)):
-            while True:
-                v = t * mp.exp(-t - 1 / t)
-                small = True
-                for m in range(count):
-                    row[m] += v
-                    small = small and v <= tiny * row[m]
-                    v *= t
-                if small and t > floor:
-                    break
-                t *= ratio
-        return tuple(row)
-    return _cached(_HANKEL_CACHE, (level, mp.prec, count), make)
+    t = count, beyond which every term decreases. The tables live in an
+    LRU of _CACHE_SIZE entries keyed by (level, precision, count)."""
+    key = (level, mp.prec, count)
+    if key in _HANKEL_CACHE:
+        _HANKEL_CACHE.move_to_end(key)
+        return _HANKEL_CACHE[key]
+    row = [mp.zero] * count
+    tiny = mp.ldexp(1, -mp.prec - 20)
+    r = mp.exp(mp.ldexp(1, -level))
+    stride = r if level == 0 else r * r  # every k, or the odd k
+    # (first node, node ratio, t to pass) upward, then downward
+    for t, ratio, floor in ((mp.one if level == 0 else r, stride, count),
+                            (1 / r, 1 / stride, 0)):
+        while True:
+            v = t * mp.exp(-t - 1 / t)
+            small = True
+            for m in range(count):
+                row[m] += v
+                small = small and v <= tiny * row[m]
+                v *= t
+            if small and t > floor:
+                break
+            t *= ratio
+    row = _HANKEL_CACHE[key] = tuple(row)
+    if len(_HANKEL_CACHE) > _CACHE_SIZE:
+        _HANKEL_CACHE.popitem(last=False)
+    return row
 
 
 def _shared_node_moments(sol):
@@ -466,26 +472,13 @@ class ReductionResult:
     residuals: tuple
 
     def function(self, x):
-        """The symmetrized whole-line function built from the two halves."""
-        we = square_substitute(self.even_solution.function, weighted=True)
-        po = square_substitute(self.odd_solution.function, weighted=False)
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(x_arr.shape, dtype=complex)
-        pos = x_arr > 0
-        neg = x_arr < 0
-        if pos.any():
-            xp = x_arr[pos]
-            out[pos] = 0.5 * (np.asarray(we.eval_derivative(xp), dtype=complex)
-                              + np.asarray(po.eval_derivative(xp), dtype=complex))
-        if neg.any():
-            xn = -x_arr[neg]
-            out[neg] = 0.5 * (np.asarray(we.eval_derivative(xn), dtype=complex)
-                              - np.asarray(po.eval_derivative(xn), dtype=complex))
-        if self.even_solution.target.is_real and self.odd_solution.target.is_real:
-            out = out.real
-        if np.ndim(x):
-            return out
-        return float(out[0]) if out.dtype != complex else complex(out[0])
+        """The symmetrized whole-line function built from the two halves,
+        F(x) = |x| phi_e(x^2) + sgn(x) phi_o(x^2)."""
+        x_arr = np.asarray(x, dtype=float)
+        t = np.square(x_arr)
+        out = (np.abs(x_arr) * self.even_solution.function.eval_derivative(t)
+               + np.sign(x_arr) * self.odd_solution.function.eval_derivative(t))
+        return out if np.ndim(x) else out.item()
 
 
 def reduction_roundtrip(target, ws, override_gamma2=False,

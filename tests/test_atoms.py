@@ -170,12 +170,51 @@ def test_derivative_order_cap():
         flat(0).eval_derivative(1.0, 65)
     with pytest.raises(InvalidParameter):
         flat(0).eval_derivative(1.0, -1)
+    # the rule multiplies by about k per order: x^(10^5) overflows floats
+    # before order 64, and is refused rather than evaluated from infs
+    with pytest.raises(DepthExceeded):
+        flat(10 ** 5).eval_derivative(1.0, 64)
 
 
-def test_derivative_cache_stays_bounded():
+def test_negative_derivative_orders_are_refused():
+    phi = flat(0)
+    phi.log_abs_derivative(1.0, 5)
+    for m in (-1, -2, -6):
+        with pytest.raises(InvalidParameter):
+            phi.log_abs_derivative(1.0, m)
+        with pytest.raises(InvalidParameter):
+            phi.eval_derivative(np.array([0.5, 1.0]), m)
+
+
+def test_derivative_tables_live_on_the_instance():
+    # no module state: evaluating many functions leaves nothing behind,
+    # and each function holds exactly the orders it was asked for
+    module_state = {name: value for name, value in vars(atoms).items()
+                    if isinstance(value, (dict, list, set))
+                    and not name.startswith("__")}
+    assert module_state == {}
     for k in range(100):
         assert np.isfinite(flat(k).eval_derivative(1.0, 2))
-        assert len(atoms._DERIV_CACHE) <= atoms._CACHE_SIZE
+    phi = flat(3) + gauss_poly(1)
+    phi.log_abs_derivative(1.0, 5)
+    assert len(phi._orders) == 6
+    assert len(flat(3)._orders) == 1
+
+
+def test_value_and_log_magnitude_agree_on_a_mix_of_envelopes():
+    reflected = TestFunction([("flat_halfline", 2, 0.5, -0.25, True)])
+    phi = flat(1, 2.0) + reflected + gauss_poly(1, 0.5) + gauss_poly(2, -1.5)
+    xs = np.array([-6.0, -2.0, -0.7, -0.1, 0.0, 0.1, 0.7, 2.0, 6.0])
+    for m in range(6):
+        values = phi.eval_derivative(xs, m)
+        logs = phi.log_abs_derivative(xs, m)
+        assert np.all(np.isfinite(logs[np.abs(values) > 0.0]))
+        with np.errstate(divide="ignore"):
+            direct = np.log(np.abs(values))
+        np.testing.assert_allclose(direct, logs, rtol=1e-13, atol=1e-13)
+    # at 0 only the Gaussian constant terms live: phi(0) = 0, phi'(0) = 0.5
+    assert phi.log_abs_derivative(0.0, 0) == -math.inf
+    assert phi.eval_derivative(0.0, 1) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_negative_power_atoms_evaluate():

@@ -109,6 +109,22 @@ def test_seminorm_outputs_value_and_argmax(capsys):
     assert data["argmax"]["argmax_x"] > 0
 
 
+@pytest.mark.parametrize("extra", [
+    ["--scale", "inf"],
+    ["--scale", "nan"],
+    ["--order-cap", "-1"],
+    ["--scale", "inf", "--amplitude", GEVREY15],
+    ["--order-cap", "-1", "--amplitude", GEVREY15],
+])
+def test_seminorm_refuses_bad_scales_and_caps(extra, capsys):
+    # with or without --amplitude, one check refuses the same arguments
+    code, out, err = run(["seminorm", "--weight", GEVREY3, "--horizon", "256",
+                          "--function", FLAT0] + extra, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: InvalidParameter:")
+
+
 def test_moments_with_operator_chain(capsys):
     code, out, err = run(["moments", "--function", FLAT0,
                           "--max-order", "3", "--apply", "fold",

@@ -233,6 +233,63 @@ def test_membership_report_builds_each_derivative_row_once(monkeypatch):
     assert calls[0] == 23
 
 
+def _reference_log_derivative(phi, x, m):
+    """log|phi^(m)(x)| at 60 digits, from exact integer derivative chains
+    of each atom: d/dy (p(y) E(y)) = (p' + p E'/E) E, E'/E = y^-2 - 1 for
+    flat atoms and -2y for Gaussian ones."""
+    with mp.workdps(60):
+        total = mp.mpc(0)
+        for atom, coeff in phi.atoms:
+            y = -mp.mpf(x) if atom.reflected else mp.mpf(x)
+            if atom.kind == "flat_halfline" and y <= 0:
+                continue
+            poly = {atom.k: 1}
+            for _ in range(m):
+                nxt = {}
+                for j, c in poly.items():
+                    if j:
+                        nxt[j - 1] = nxt.get(j - 1, 0) + j * c
+                    if atom.kind == "flat_halfline":
+                        nxt[j - 2] = nxt.get(j - 2, 0) + c
+                        nxt[j] = nxt.get(j, 0) - c
+                    else:
+                        nxt[j + 1] = nxt.get(j + 1, 0) - 2 * c
+                poly = nxt
+            env = (mp.exp(-1 / y - y) if atom.kind == "flat_halfline"
+                   else mp.exp(-y * y))
+            value = sum(c * y ** j for j, c in poly.items()) * env
+            if atom.reflected and m % 2:
+                value = -value
+            total += mp.mpc(coeff.real, coeff.imag) * value
+        return float(mp.log(abs(total)))
+
+
+def test_cancelling_ball_solution_matches_a_60_digit_reference():
+    # the ball solution's 13 flat atoms have coefficients up to ~1e26,
+    # far above the values they sum to; near each cell's argmax
+    # log|phi^(m)| must still agree with exact chains summed at 60 digits
+    ball = _ball12_function()
+    assert max(abs(c) for _, c in ball.atoms) > 1e20
+    report = membership_report(ball, WS3)
+    points = {(cell["argmax_x"], cell["argmax_order"])
+              for cell in report["cells"]}
+    assert len(points) > 3
+    for x0, m in points:
+        for x in (0.99 * x0, x0, 1.01 * x0):
+            ref = _reference_log_derivative(ball, x, m)
+            assert ball.log_abs_derivative(x, m) == pytest.approx(
+                ref, rel=0.0, abs=1e-10), (x, m)
+
+
+def test_membership_report_refuses_bad_scales_and_caps():
+    phi = flat(0)
+    for kwargs in ({"scales": (math.inf,)}, {"scales": (math.nan,)},
+                   {"scales": (0.0,)}, {"order_caps": (0, -1)},
+                   {"order_caps": (2.0,)}):
+        with pytest.raises(InvalidParameter):
+            membership_report(phi, WS3, **kwargs)
+
+
 WS1 = gevrey(1.0, horizon=256)
 
 
