@@ -35,7 +35,8 @@ from .atoms import TestFunction
 from .bessel import flat_moment, k_run
 from .errors import (ExtrapolationDivergence, IllConditioned,
                      InvalidParameter, UnsupportedSupport)
-from .solver import MomentSolution, SequenceTarget, solve_moments
+from .solver import (MomentSolution, SequenceTarget, _checked_solve_args,
+                     solve_moments)
 from .transforms import sign_twist
 
 DERIVATIVE_CAP = 32
@@ -252,7 +253,9 @@ def borel_ritt_solve(entries, ws, h=1.0, override_gamma2=False,
     moments for (-i)^p a_p and transforming gives i^p mu_p = a_p. The
     solver verifies the moments by arbitrary-precision quadrature, and
     |i^p mu_p - a_p| = |mu_p - (-i)^p a_p|, so its residuals are the
-    residuals of the boundary jet."""
+    residuals of the boundary jet. The tolerance must be a finite
+    number > 0."""
+    _checked_solve_args(tolerance)
     entries = tuple(complex(v) for v in entries)
     twisted = sign_twist(entries)
     target = SequenceTarget(tuple(twisted), h=h)

@@ -34,10 +34,15 @@ precision.
 The Gram values h[m] = 2 K_{m+1}(2), m = 0..2P, are rounded down, rung
 by rung, from the K_n(2) sequence of the bessel module; the matrix is
 G[p, k] = h[p + k], and sum_k c_k h[p + k] is moment p in closed form.
+None of it depends on the target, so each Gram rung -- the values at one
+(n, bits), their log10 values and the LU factors of G -- is built once
+and kept in the bounded _GRAM_CACHE. A warm solve is then one forward
+and one back substitution, O(n^2) instead of the O(n^3) factorization.
 
 Precision is set through the global mpmath context (mp.workprec and
 mp.workdps), which every thread of the process shares, so solving or
-verifying from several threads at once is unsafe.
+verifying from several threads at once is unsafe; the Gram rungs and
+the trapezoid tables are module caches that no lock guards either.
 
 Solving is gated on the weight sequence: unless the classifier finds
 that the ratio-tail condition at exponent 2 holds, the problem is
@@ -73,6 +78,19 @@ _DPS_GRID = 20    # pass precisions round up to this, so few tables recur
 
 _CACHE_SIZE = 32  # least recently used Hankel tables kept
 _HANKEL_CACHE = OrderedDict()
+
+# mpmath's one-call LU solve factors and substitutes 10 bits beyond the
+# working precision; doing both at the same guard keeps the coefficients
+# bit for bit what that call returns at the rung's precision
+_LU_GUARD = 10
+
+# Gram rungs kept, least recently used first out. A solve touches one
+# rung per ladder step tried plus its 2x-bits residual rung, so 8 holds
+# the five ladder steps with slack. The largest rung, n = 33 factored at
+# 8000 bits with its log10 values, holds ~1.7 MB (tracemalloc; a degree-12
+# rung at 400 bits holds 0.07 MB), so the cache stays below ~14 MB.
+_GRAM_CACHE_SIZE = 8
+_GRAM_CACHE = OrderedDict()
 
 
 def _hankel_table(level, count):
@@ -220,12 +238,93 @@ def unit_ball_target(ws, degree, scale, seed):
     return SequenceTarget(ent, h=scale)
 
 
+class _GramRung:
+    """The moment matrix of n atoms at one precision: the 2n - 1 values
+    h[m] = 2 K_{m+1}(2), G[p, k] = h[p + k], and, each made on first use,
+    their log10 values and the LU factors of G with their pivots (None
+    when G is numerically singular at this precision). Every solve of the
+    rung reads the same factor matrix, so nothing may write to it."""
+
+    def __init__(self, n, bits):
+        self.n = n
+        self.bits = bits
+        k2 = k2_sequence(2 * n, bits)
+        with mp.workprec(bits):
+            self.values = tuple(2 * k2[m + 1] for m in range(2 * n - 1))
+        self._log10 = None
+        self._lu = None
+        self._factored = False
+
+    @property
+    def log10(self):
+        if self._log10 is None:
+            with mp.workprec(self.bits):
+                self._log10 = tuple(mp.log(v, 10) for v in self.values)
+        return self._log10
+
+    @property
+    def lu(self):
+        if not self._factored:
+            n, h = self.n, self.values
+            with mp.workprec(self.bits + _LU_GUARD):
+                G = mp.matrix(n, n)
+                for p in range(n):
+                    for k in range(n):
+                        G[p, k] = h[p + k]
+                try:
+                    self._lu = mp.LU_decomp(G, overwrite=True)
+                except ZeroDivisionError:
+                    self._lu = None
+            self._factored = True
+        return self._lu
+
+
+def _gram_rung(n, bits):
+    """The Gram rung of (n, bits) from the LRU of _GRAM_CACHE_SIZE
+    entries, built on a miss."""
+    key = (n, bits)
+    if key in _GRAM_CACHE:
+        _GRAM_CACHE.move_to_end(key)
+        return _GRAM_CACHE[key]
+    rung = _GRAM_CACHE[key] = _GramRung(n, bits)
+    if len(_GRAM_CACHE) > _GRAM_CACHE_SIZE:
+        _GRAM_CACHE.popitem(last=False)
+    return rung
+
+
 def _gram_hankel(n, bits):
     """The 2n - 1 values h[m] = 2 K_{m+1}(2) at the given precision; the
     n x n moment matrix is the Hankel matrix G[p, k] = h[p + k]."""
-    k2 = k2_sequence(2 * n, bits)
-    with mp.workprec(bits):
-        return tuple(2 * k2[m + 1] for m in range(2 * n - 1))
+    return _gram_rung(n, bits).values
+
+
+def _checked_solve_args(tolerance, min_bits=None):
+    """min_bits as an int, or None, once the tolerance is found to be a
+    finite number > 0 and min_bits a finite number from 53 to MAX_BITS.
+    A NaN tolerance would pass every `residual > tolerance` test, so it
+    is refused here rather than met there."""
+    try:
+        tol = float(tolerance)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParameter(
+            "tolerance must be a finite number > 0, not %r" % (tolerance,))
+    if min_bits is None:
+        return None
+    try:
+        finite = math.isfinite(float(min_bits))
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
+        raise InvalidParameter(
+            "precision must be a finite number of bits, not %r" % (min_bits,))
+    min_bits = int(min_bits)
+    if min_bits < 53:
+        raise InvalidParameter("precision below 53 bits")
+    if min_bits > MAX_BITS:
+        raise InvalidParameter("precision above %d bits" % MAX_BITS)
+    return min_bits
 
 
 def _gamma2_gate(ws, override):
@@ -292,11 +391,10 @@ class MomentSolution:
         quadrature survives the cancellation between large coefficient
         terms and a small moment."""
         if self._headroom is None:
-            h = _gram_hankel(self.degree + 1, self.precision_bits)
+            logv = _gram_rung(self.degree + 1, self.precision_bits).log10
             with mp.workprec(self.precision_bits):
                 logc = [(k, mp.log(abs(c), 10))
                         for k, c in enumerate(self._mp_coeffs) if c != 0]
-                logv = [mp.log(v, 10) for v in h]
                 out = []
                 for p, a_p in enumerate(self.target.entries):
                     if not logc:
@@ -358,7 +456,8 @@ def solve_moments(target, ws, override_gamma2=False,
     Raises TargetTooLarge beyond degree 32, ConditionRefused when the
     ratio-tail condition at exponent 2 does not hold and override_gamma2
     is false, IllConditioned when the precision ladder tops out before
-    the residuals meet tolerance or verification misses it.
+    the residuals meet tolerance or verification misses it, and
+    InvalidParameter on a tolerance that is not a finite number > 0.
     min_bits, from 53 to MAX_BITS, skips the ladder's lower rungs.
     """
     if not isinstance(target, SequenceTarget):
@@ -368,32 +467,23 @@ def solve_moments(target, ws, override_gamma2=False,
             "degree %d beyond cap %d" % (target.degree, DEGREE_CAP))
     if not isinstance(ws, WeightSequence):
         raise InvalidParameter("a WeightSequence is required")
+    min_bits = _checked_solve_args(tolerance, min_bits)
     verdict = _gamma2_gate(ws, override_gamma2)
     n = target.degree + 1
     ladder = PRECISION_LADDER
     if min_bits is not None:
-        min_bits = int(min_bits)
-        if min_bits < 53:
-            raise InvalidParameter("precision below 53 bits")
-        if min_bits > MAX_BITS:
-            raise InvalidParameter("precision above %d bits" % MAX_BITS)
         ladder = tuple(b for b in PRECISION_LADDER if b >= min_bits) \
             or (min_bits,)
     solution = None
     for bits in ladder:
-        h = _gram_hankel(n, bits)
-        with mp.workprec(bits):
-            G = mp.matrix(n, n)
-            for p in range(n):
-                for k in range(n):
-                    G[p, k] = h[p + k]
+        lu = _gram_rung(n, bits).lu
+        if lu is None:
+            continue
+        A, pivots = lu
+        with mp.workprec(bits + _LU_GUARD):
             rhs = mp.matrix([mp.mpc(v) if not target.is_real else mp.mpf(v.real)
                              for v in target.entries])
-            try:
-                c = mp.lu_solve(G, rhs)
-            except ZeroDivisionError:
-                continue
-        c = list(c)
+            c = list(mp.U_solve(A, mp.L_solve(A, rhs, pivots)))
         # residual of the linear system, judged at doubled precision
         with mp.workprec(2 * bits):
             h2 = _gram_hankel(n, 2 * bits)

@@ -32,6 +32,15 @@ def test_flat_atom_value_and_stationary_point():
     assert phi.eval_derivative(1.0, 1) == pytest.approx(0.0, abs=1e-18)
 
 
+def test_call_is_the_order_zero_derivative_and_repr_counts_atoms():
+    phi = flat(0) + 0.5j * flat(3) + 2.0 * gauss_poly(1)
+    xs = np.array([-1.5, 0.0, 0.3, 1.0, 4.0])
+    np.testing.assert_array_equal(phi(xs), phi.eval_derivative(xs, 0))
+    assert phi(0.3) == phi.eval_derivative(0.3, 0)
+    assert repr(phi) == "TestFunction(3 atoms)"
+    assert repr(flat(0) + flat(0)) == "TestFunction(1 atoms)"
+
+
 def test_flat_atom_vanishes_off_the_half_line():
     phi = flat(2)
     assert phi(0.0) == 0.0

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import gsmoment
@@ -224,6 +225,35 @@ def test_borel_ritt_subcommand(capsys):
     data = json.loads(out)
     assert max(data["residuals"]) < 1e-5
     assert data["boundary_jet"][1] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["borel-ritt", "--entries", "[1.0, [0.0, 1.0], -0.5]"],
+    ["solve", "--target", "[1.0, 0.5, 2.0]"],
+    ["verify"],
+])
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-6"])
+def test_tolerances_that_switch_the_checks_off_exit_one(capsys, argv,
+                                                        tolerance):
+    code, out, err = run(argv + ["--weight", GEVREY3, "--horizon", "256",
+                                 "--tolerance=" + tolerance], capsys)
+    assert code == 1
+    assert out == ""
+    assert "InvalidParameter" in err and "tolerance" in err
+
+
+def test_json_default_maps_numpy_complex_and_tuples():
+    assert cli._json_default(np.float64(0.25)) == 0.25
+    assert type(cli._json_default(np.float64(0.25))) is float
+    assert cli._json_default(np.int64(7)) == 7
+    assert type(cli._json_default(np.int64(7))) is int
+    assert cli._json_default(1.5 - 2j) == [1.5, -2.0]
+    assert cli._json_default((1, "a")) == [1, "a"]
+    with pytest.raises(TypeError, match="not serializable"):
+        cli._json_default({1, 2})
+    text = json.dumps({"x": (np.float64(0.5), 1j)},
+                      default=cli._json_default)
+    assert json.loads(text) == {"x": [0.5, [0.0, 1.0]]}
 
 
 def test_verify_battery_passes_on_solvable_weight(capsys):

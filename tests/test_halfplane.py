@@ -201,6 +201,8 @@ def test_norm_profile_grows_with_scale():
 
 def test_domain_validation():
     f = HalfPlaneFunction(flat(0))
+    for z in (1j, 0.3 + 0.1j, -2.0 + 4.0j, 0.0):
+        assert f(z) == f.eval_derivative(z, 0)
     with pytest.raises(InvalidParameter):
         f.eval_derivative(1 - 1j)
     with pytest.raises(InvalidParameter):
@@ -218,6 +220,13 @@ def test_both_evaluators_refuse_the_same_arguments(method, z, p):
     f = HalfPlaneFunction(flat(0))
     with pytest.raises(InvalidParameter):
         getattr(f, method)(z, p)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-5])
+def test_borel_ritt_refuses_tolerances_that_switch_the_check_off(tolerance):
+    # a NaN tolerance passed the `worst > tolerance` jet check
+    with pytest.raises(InvalidParameter, match="tolerance"):
+        borel_ritt_solve((1.0, 0.5j, -0.5), WS3, tolerance=tolerance)
 
 
 def test_whole_line_functions_are_rejected():

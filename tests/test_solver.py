@@ -4,6 +4,7 @@ import ast
 import math
 import os
 import re
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -126,9 +127,109 @@ def test_precision_above_the_cap_is_refused():
         solve_moments(SequenceTarget((1.0,)), WS3, min_bits=8001)
 
 
+@pytest.mark.parametrize("tolerance",
+                         [math.nan, math.inf, 0.0, -1e-6, None, "tight"])
+def test_tolerances_that_switch_the_checks_off_are_refused(tolerance):
+    # a NaN tolerance passed every `residual > tolerance` test
+    target = SequenceTarget((1.0, 0.5))
+    for verify in (False, True):
+        with pytest.raises(InvalidParameter, match="tolerance"):
+            solve_moments(target, WS3, tolerance=tolerance, verify=verify)
+    with pytest.raises(InvalidParameter, match="tolerance"):
+        reduction_roundtrip(target, WS3, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("min_bits", [math.nan, math.inf, -math.inf, "many"])
+def test_non_finite_precisions_are_refused(min_bits):
+    with pytest.raises(InvalidParameter, match="finite number of bits"):
+        solve_moments(SequenceTarget((1.0,)), WS3, min_bits=min_bits)
+
+
 def _reset_bessel_sequence(monkeypatch):
     monkeypatch.setattr(bessel, "_K2", [])
     monkeypatch.setattr(bessel, "_K2_BITS", 0)
+    monkeypatch.setattr(solver, "_GRAM_CACHE", OrderedDict())
+
+
+def _one_call_lu_solve(target, bits):
+    """The coefficients of mpmath's one-call LU solve of the Gram system
+    at the given precision, from a freshly built matrix."""
+    n = target.degree + 1
+    h = solver._gram_hankel(n, bits)
+    with mp.workprec(bits):
+        G = mp.matrix(n, n)
+        for p in range(n):
+            for k in range(n):
+                G[p, k] = h[p + k]
+        rhs = mp.matrix([mp.mpc(v) if not target.is_real else mp.mpf(v.real)
+                         for v in target.entries])
+        return list(mp.lu_solve(G, rhs))
+
+
+def _bits_of(values):
+    return [getattr(v, "_mpf_", None) or v._mpc_ for v in values]
+
+
+@pytest.mark.parametrize("min_bits", [None, 400])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("degree", [0, 3, 12])
+def test_cached_factors_give_the_one_call_lu_coefficients(degree, real,
+                                                          min_bits):
+    target = unit_ball_target(WS3, degree, 1.0, seed=degree + 5)
+    if real:
+        target = SequenceTarget(tuple(v.real for v in target.entries),
+                                h=target.h)
+    for _ in range(2):  # cold or warm, then surely warm
+        sol = solve_moments(target, WS3, verify=False, min_bits=min_bits)
+        ref = _one_call_lu_solve(target, sol.precision_bits)
+        assert _bits_of(sol._mp_coeffs) == _bits_of(ref)
+
+
+def _count_lu_decomp(monkeypatch):
+    calls = []
+    plain = mp.LU_decomp
+
+    def counting(*args, **kwargs):
+        calls.append(mp.prec)
+        return plain(*args, **kwargs)
+    monkeypatch.setattr(mp, "LU_decomp", counting)
+    return calls
+
+
+def test_a_warm_solve_factors_nothing(monkeypatch):
+    monkeypatch.setattr(solver, "_GRAM_CACHE", OrderedDict())
+    calls = _count_lu_decomp(monkeypatch)
+    target = unit_ball_target(WS3, 12, 0.25, seed=3)
+    first = solve_moments(target, WS3, verify=False)
+    # the solve rung is factored at the guarded precision, the residual
+    # rung at twice the bits only read
+    assert calls == [first.precision_bits + solver._LU_GUARD]
+    del calls[:]
+    second = solve_moments(unit_ball_target(WS3, 12, 0.25, seed=4), WS3,
+                           verify=False)
+    assert second.precision_bits == first.precision_bits
+    assert calls == []
+
+
+def test_a_singular_rung_is_skipped(monkeypatch):
+    monkeypatch.setattr(solver, "_GRAM_CACHE", OrderedDict())
+    plain = mp.LU_decomp
+
+    def singular_at_200(*args, **kwargs):
+        if mp.prec == 200 + solver._LU_GUARD:
+            raise ZeroDivisionError("matrix is numerically singular")
+        return plain(*args, **kwargs)
+    monkeypatch.setattr(mp, "LU_decomp", singular_at_200)
+    target = SequenceTarget((1.0, 0.5, 2.0, 6.0))
+    sol = solve_moments(target, WS3)
+    assert sol.precision_bits == 400
+    assert solver._gram_rung(4, 200).lu is None
+    # the refusal is kept: a warm solve skips the rung without refactoring
+    monkeypatch.setattr(mp, "LU_decomp", None)
+    assert solve_moments(target, WS3).precision_bits == 400
+    monkeypatch.setattr(solver, "PRECISION_LADDER", (200,))
+    with pytest.raises(IllConditioned, match="at 200 bits"):
+        solve_moments(target, WS3)
 
 
 def test_gram_values_match_the_bessel_routine(monkeypatch):
@@ -517,12 +618,18 @@ def test_benchmark_reference_imports_nothing_from_the_package():
     assert not any(n.split(".")[0] == "gsmoment" for n in names)
 
 
-def test_module_caches_stay_bounded():
+def test_module_caches_stay_bounded(monkeypatch):
     for dps in range(20, 20 * 15, 20):
         for level in (0, 1, 2):
             with mp.workdps(dps):
                 solver._hankel_table(level, 3)
         assert len(solver._HANKEL_CACHE) <= solver._CACHE_SIZE
+    monkeypatch.setattr(solver, "_GRAM_CACHE", OrderedDict())
+    for n in range(1, 3 * solver._GRAM_CACHE_SIZE):
+        solve_moments(SequenceTarget((1.0,) * n), WS3, verify=False)
+        assert len(solver._GRAM_CACHE) <= solver._GRAM_CACHE_SIZE
+    # least recently used first out: the last solve's two rungs are kept
+    assert list(solver._GRAM_CACHE)[-2:] == [(n, 200), (n, 400)]
 
 
 @pytest.mark.parametrize("dps", [60, 200])

@@ -99,6 +99,15 @@ def test_weighted_square_substitution_moment_identity():
         assert handle.moment(2 * q) == pytest.approx(direct, rel=1e-9)
 
 
+def test_substitution_handle_call_is_its_order_zero_value():
+    phi = flat(1) + 0.5 * flat(0)
+    xs = np.array([0.05, 0.2, 0.7, 1.5, 6.0])
+    for handle in (sqrt_substitute(phi), square_substitute(phi),
+                   square_substitute(phi, weighted=False)):
+        np.testing.assert_array_equal(handle(xs), handle.eval_derivative(xs, 0))
+        assert handle(0.7) == handle.eval_derivative(0.7, 0)
+
+
 def test_plain_square_substitution_moment_identity():
     # psi(x) = 2 phi(x^2) reproduces the base moments on odd indices
     phi = flat(0)

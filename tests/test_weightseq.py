@@ -178,6 +178,19 @@ def test_counting_function_vectorized_values():
     assert associated_function(ws, 10.0) == assoc.value(10.0)
 
 
+def test_associated_function_call_is_its_value():
+    assoc = gevrey(2.0, horizon=64).associated()
+    for t in (0.0, 0.3, 1.0, 10.0, 50.0):
+        assert assoc(t) == assoc.value(t)
+
+
+def test_weight_sequence_repr_names_kind_params_and_horizon():
+    assert repr(gevrey(2.0, horizon=64)) == (
+        "WeightSequence(kind='gevrey', params={'alpha': 2.0}, horizon=64)")
+    assert repr(q_gevrey(1.5, horizon=128)) == (
+        "WeightSequence(kind='qgevrey', params={'q': 1.5}, horizon=128)")
+
+
 @settings(max_examples=60, deadline=None)
 @given(alpha=st.floats(min_value=0.5, max_value=4.0),
        t=st.floats(min_value=1e-6, max_value=1e3))
