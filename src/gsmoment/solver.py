@@ -21,15 +21,20 @@ level's sum for order p is sum_k c_k Q[p + k], where Q holds the
 trapezoid sums of t^(m+1) exp(-t - 1/t), m = 0..2P, over the nested
 levels so far: level 0 has step 1 and every integer node, each level on
 halves the step and adds the odd nodes. Q does not depend on the
-solution: its level tables are computed once in real arithmetic and kept
-in the bounded _HANKEL_CACHE, so a warm verified solve evaluates phi
-nowhere. The working precision is the largest cancellation headroom over
-the orders. Levels halve the step until the gap between two levels falls
-below tolerance * 1e-6 on every order; a pass that reaches the level cap
-first is refused. The error roughly squares from one level to the next,
-so the level returned lies far below the gap that stopped the pass. The
-pass never calls a Bessel routine: the Bessel Gram values only size its
-precision.
+solution: its cumulative level tables are computed once in real
+arithmetic and kept in the bounded _HANKEL_CACHE as integer mantissas at
+one common exponent, so a warm verified solve evaluates phi nowhere.
+With the coefficients' mantissas also brought to one exponent, each sum
+is an exact integer dot product rounded once at the working precision,
+bit for bit what mp.fdot returns. The working precision is the largest
+cancellation headroom over the orders. The sums start at level
+_FIRST_LEVEL, since coarser levels do not stop a pass at the default
+tolerance, and levels halve the step until the gap between two levels
+falls below tolerance * 1e-6 on every order; a pass that reaches the
+level cap first is refused. The error roughly squares from one level to
+the next, so the level returned lies far below the gap that stopped the
+pass. The pass never calls a Bessel routine: the Bessel Gram values only
+size its precision.
 
 The Gram values h[m] = 2 K_{m+1}(2), m = 0..2P, are rounded down, rung
 by rung, from the K_n(2) sequence of the bessel module; the matrix is
@@ -38,6 +43,8 @@ None of it depends on the target, so each Gram rung -- the values at one
 (n, bits), their log10 values and the LU factors of G -- is built once
 and kept in the bounded _GRAM_CACHE. A warm solve is then one forward
 and one back substitution, O(n^2) instead of the O(n^3) factorization.
+The residual check at doubled precision and moment_closed form their
+sums with the verifier's integer window product, over the Gram values.
 
 Precision is set through the global mpmath context (mp.workprec and
 mp.workdps), which every thread of the process shares, so solving or
@@ -55,9 +62,11 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import from_man_exp, fzero, round_nearest
 
 from .atoms import (FLAT, TestFunction, _log_seminorm, _seminorm_scales,
                     default_grid)
@@ -74,15 +83,26 @@ DEFAULT_TOLERANCE = 1e-6
 OVERFLOW_LOG = math.log(np.finfo(float).max)  # ~709.78
 
 _MAX_LEVEL = 10   # trapezoid levels (step 2^-level) before a pass is refused
+# First level summed, so the first level a pass can return is 3. At the
+# default tolerance no pass of degree 0-32 stops earlier; a tolerance of
+# 0.1 or more would stop some degree-0 passes at level 2, whose error is
+# ~1e-16 against level 3's ~1e-33.
+_FIRST_LEVEL = 2
 _DPS_GRID = 20    # pass precisions round up to this, so few tables recur
 
-_CACHE_SIZE = 32  # least recently used Hankel tables kept
+# Least recently used cumulative Hankel tables kept. One entry holds the
+# trapezoid sums of one (level, precision, count) as count integer
+# mantissas at one exponent: 2.2 kB at count 25 and 100 digits (a
+# degree-12 pass), 32 kB at count 65 and 1000 digits (sys.getsizeof).
+_CACHE_SIZE = 32
 _HANKEL_CACHE = OrderedDict()
 
 # mpmath's one-call LU solve factors and substitutes 10 bits beyond the
 # working precision; doing both at the same guard keeps the coefficients
 # bit for bit what that call returns at the rung's precision
 _LU_GUARD = 10
+
+_LOG10_2 = math.log10(2)
 
 # Gram rungs kept, least recently used first out. A solve touches one
 # rung per ladder step tried plus its 2x-bits residual rung, so 8 holds
@@ -100,12 +120,7 @@ def _hankel_table(level, count):
 
     Each walk from s = log t = 0 stops once every term is below
     2^(-prec-20) of its running sum, and the upward walk only past
-    t = count, beyond which every term decreases. The tables live in an
-    LRU of _CACHE_SIZE entries keyed by (level, precision, count)."""
-    key = (level, mp.prec, count)
-    if key in _HANKEL_CACHE:
-        _HANKEL_CACHE.move_to_end(key)
-        return _HANKEL_CACHE[key]
+    t = count, beyond which every term decreases."""
     row = [mp.zero] * count
     tiny = mp.ldexp(1, -mp.prec - 20)
     r = mp.exp(mp.ldexp(1, -level))
@@ -123,43 +138,109 @@ def _hankel_table(level, count):
             if small and t > floor:
                 break
             t *= ratio
-    row = _HANKEL_CACHE[key] = tuple(row)
+    return row
+
+
+def _as_fixed(parts):
+    """mpf tuples as (mantissas, exponent), part i being exactly
+    mantissas[i] * 2^exponent."""
+    exp = min((e for _, man, e, _ in parts if man), default=0)
+    return (tuple((-man if sign else man) << (e - exp) if man else 0
+                  for sign, man, e, _ in parts), exp)
+
+
+def _as_fixed_coefficients(coeffs):
+    """(real mantissas, imaginary mantissas or None, exponent): the
+    coefficients' parts at one common exponent, exactly. The imaginary
+    mantissas are None when every coefficient is real, as mp.fdot then
+    returns a real."""
+    if not any(hasattr(c, "_mpc_") for c in coeffs):
+        man, exp = _as_fixed([c._mpf_ for c in coeffs])
+        return man, None, exp
+    parts = [c._mpc_ if hasattr(c, "_mpc_") else (c._mpf_, fzero)
+             for c in coeffs]
+    man, exp = _as_fixed([re for re, _ in parts] + [im for _, im in parts])
+    return man[:len(parts)], man[len(parts):], exp
+
+
+def _window_sums(coeffs, table, orders, shift=0):
+    """sum_k c_k v[j + k] * 2^shift for each j in orders, where coeffs is
+    _as_fixed_coefficients form and table the reals v in _as_fixed form.
+
+    Each sum is an exact integer dot product rounded once at the working
+    precision, which is what mp.fdot does, so it is bit for bit
+    mp.fdot(c, v[j:j + n]) * 2^shift (fdot drops a term only when it lies
+    more than twice the precision in bits from its running sum)."""
+    re, im, c_exp = coeffs
+    man, v_exp = table
+    n = len(re)
+    exp = c_exp + v_exp + shift
+    prec = mp.prec
+    out = []
+    for j in orders:
+        window = man[j:j + n]
+        s = from_man_exp(sum(map(mul, re, window)), exp, prec, round_nearest)
+        if im is None:
+            out.append(mp.make_mpf(s))
+        else:
+            out.append(mp.make_mpc((s, from_man_exp(
+                sum(map(mul, im, window)), exp, prec, round_nearest))))
+    return out
+
+
+def _cumulative_table(level, count):
+    """The trapezoid sums of t^(m+1) exp(-t - 1/t), m = 0..count-1, over
+    the nodes of levels 0..level, in _as_fixed form: each level's row added
+    to the table before it in mpf at the working precision. The tables
+    live in an LRU of _CACHE_SIZE entries keyed by (level, precision,
+    count)."""
+    key = (level, mp.prec, count)
+    if key in _HANKEL_CACHE:
+        _HANKEL_CACHE.move_to_end(key)
+        return _HANKEL_CACHE[key]
+    row = _hankel_table(level, count)
+    if level:
+        man, exp = _cumulative_table(level - 1, count)
+        row = [mp.mpf((m, exp)) + r for m, r in zip(man, row)]
+    table = _HANKEL_CACHE[key] = _as_fixed([q._mpf_ for q in row])
     if len(_HANKEL_CACHE) > _CACHE_SIZE:
         _HANKEL_CACHE.popitem(last=False)
-    return row
+    return table
 
 
 def _shared_node_moments(sol):
     """Integrals over the half line of t^j phi(t) for every order j of the
-    solution's target, at the solution's largest headroom.
+    solution's target, at the solution's largest headroom, with the
+    trapezoid level returned and its gap: (sums, level, gap).
 
     By linearity each level's sum is sum_k c_k Q[j + k], where Q holds the
     quadrature moments of t^m exp(-t - 1/t) over the levels so far. Q does
-    not depend on the solution, so its level tables are cached.
+    not depend on the solution, so its cumulative tables are cached.
 
-    Stops at the first level whose sums all moved by at most
-    tolerance * 1e-6 of max(1, |a_j|) since the level before; raises
-    IllConditioned when _MAX_LEVEL is reached first."""
+    From level _FIRST_LEVEL on, stops at the first level whose sums all
+    moved by at most tolerance * 1e-6 of max(1, |a_j|) since the level
+    before; raises IllConditioned when _MAX_LEVEL is reached first."""
     dps = max(sol._headroom_dps())
-    coeffs = sol._mp_coeffs
-    n = len(coeffs)
+    coeffs = sol._fixed
+    n = len(sol._mp_coeffs)
     scales = [max(1.0, abs(a)) for a in sol.target.entries]
     slack = sol.tolerance * 1e-6
+    gap = None
     with mp.workdps(_DPS_GRID * -(-dps // _DPS_GRID)):
-        moments = [mp.zero] * (2 * n - 1)  # Q over the levels so far
         last = None
-        for level in range(_MAX_LEVEL + 1):
-            row = _hankel_table(level, 2 * n - 1)
-            moments = [q + r for q, r in zip(moments, row)]
-            step = mp.ldexp(1, -level)
-            sums = [step * mp.fdot(coeffs, moments[j:j + n])
-                    for j in range(n)]
+        for level in range(_FIRST_LEVEL, _MAX_LEVEL + 1):
+            sums = _window_sums(coeffs, _cumulative_table(level, 2 * n - 1),
+                                range(n), -level)
             if last is not None:
-                gap = max(float(abs(s - q)) / c
+                gap = max(abs(complex(s - q)) / c
                           for s, q, c in zip(sums, last, scales))
                 if gap <= slack:
-                    return sums
+                    return sums, level, gap
             last = sums
+    if gap is None:
+        raise IllConditioned(
+            "quadrature unresolved: the level cap %d leaves no two trapezoid "
+            "levels from level %d to compare" % (_MAX_LEVEL, _FIRST_LEVEL))
     raise IllConditioned(
         "quadrature unresolved at trapezoid level %d: the last level moved "
         "a moment by %.3e relative, above %.1e" % (_MAX_LEVEL, gap, slack))
@@ -238,12 +319,19 @@ def unit_ball_target(ws, degree, scale, seed):
     return SequenceTarget(ent, h=scale)
 
 
+def _log10_abs(re, im, exp):
+    """log10 |re + i im| * 2^exp as a float, for integers re and im that
+    are not both zero, of any size."""
+    return 0.5 * math.log10(re * re + im * im) + exp * _LOG10_2
+
+
 class _GramRung:
     """The moment matrix of n atoms at one precision: the 2n - 1 values
     h[m] = 2 K_{m+1}(2), G[p, k] = h[p + k], and, each made on first use,
-    their log10 values and the LU factors of G with their pivots (None
-    when G is numerically singular at this precision). Every solve of the
-    rung reads the same factor matrix, so nothing may write to it."""
+    their log10 values as floats, the values in _as_fixed form and the LU
+    factors of G with their pivots (None when G is numerically singular
+    at this precision). Every solve of the rung reads the same factor
+    matrix, so nothing may write to it."""
 
     def __init__(self, n, bits):
         self.n = n
@@ -252,15 +340,22 @@ class _GramRung:
         with mp.workprec(bits):
             self.values = tuple(2 * k2[m + 1] for m in range(2 * n - 1))
         self._log10 = None
+        self._fixed = None
         self._lu = None
         self._factored = False
 
     @property
     def log10(self):
         if self._log10 is None:
-            with mp.workprec(self.bits):
-                self._log10 = tuple(mp.log(v, 10) for v in self.values)
+            man, exp = self.fixed
+            self._log10 = tuple(_log10_abs(m, 0, exp) for m in man)
         return self._log10
+
+    @property
+    def fixed(self):
+        if self._fixed is None:
+            self._fixed = _as_fixed([v._mpf_ for v in self.values])
+        return self._fixed
 
     @property
     def lu(self):
@@ -290,12 +385,6 @@ def _gram_rung(n, bits):
     if len(_GRAM_CACHE) > _GRAM_CACHE_SIZE:
         _GRAM_CACHE.popitem(last=False)
     return rung
-
-
-def _gram_hankel(n, bits):
-    """The 2n - 1 values h[m] = 2 K_{m+1}(2) at the given precision; the
-    n x n moment matrix is the Hankel matrix G[p, k] = h[p + k]."""
-    return _gram_rung(n, bits).values
 
 
 def _checked_solve_args(tolerance, min_bits=None):
@@ -355,9 +444,14 @@ class MomentSolution:
         self.gate_verdict = gate_verdict
         self.gate_override = override
         self.tolerance = tolerance
+        self._fixed_coeffs = None
         self._function = None
         self._quadrature = None
         self._headroom = None
+        # the trapezoid level the quadrature returned and its gap to the
+        # level before, relative to max(1, |a_p|); None until it runs
+        self.quadrature_level = None
+        self.quadrature_gap = None
 
     @property
     def degree(self):
@@ -386,23 +480,31 @@ class MomentSolution:
             self._function = TestFunction(specs)
         return self._function
 
+    @property
+    def _fixed(self):
+        """The coefficients in _as_fixed_coefficients form."""
+        if self._fixed_coeffs is None:
+            self._fixed_coeffs = _as_fixed_coefficients(self._mp_coeffs)
+        return self._fixed_coeffs
+
     def _headroom_dps(self):
         """Decimal digits, one entry per target order, needed so that
         quadrature survives the cancellation between large coefficient
         terms and a small moment."""
         if self._headroom is None:
             logv = _gram_rung(self.degree + 1, self.precision_bits).log10
-            with mp.workprec(self.precision_bits):
-                logc = [(k, mp.log(abs(c), 10))
-                        for k, c in enumerate(self._mp_coeffs) if c != 0]
-                out = []
-                for p, a_p in enumerate(self.target.entries):
-                    if not logc:
-                        out.append(30)
-                        continue
-                    top = max(lc + logv[p + k] for k, lc in logc)
-                    extra = float(top - mp.log(max(1.0, abs(a_p)), 10))
-                    out.append(30 + max(0, int(math.ceil(extra))))
+            re, im, exp = self._fixed
+            logc = [(k, _log10_abs(x, y, exp))
+                    for k, (x, y) in enumerate(zip(re, im or [0] * len(re)))
+                    if x or y]
+            out = []
+            for p, a_p in enumerate(self.target.entries):
+                if not logc:
+                    out.append(30)
+                    continue
+                top = max(lc + logv[p + k] for k, lc in logc)
+                extra = top - math.log10(max(1.0, abs(a_p)))
+                out.append(30 + max(0, int(math.ceil(extra))))
             self._headroom = tuple(out)
         return self._headroom
 
@@ -419,10 +521,9 @@ class MomentSolution:
 
     def moment_closed(self, p):
         """sum_k c_k 2K_{p+k+1}(2) at solve precision."""
-        n = self.degree + 1
-        h = _gram_hankel(n, self.precision_bits)
+        rung = _gram_rung(self.degree + 1, self.precision_bits)
         with mp.workprec(self.precision_bits):
-            return mp.fdot(self._mp_coeffs, h[p:p + n])
+            return _window_sums(self._fixed, rung.fixed, (p,))[0]
 
     def moment_quadrature(self, p):
         """Independent check: arbitrary-precision quadrature of t^p phi(t)
@@ -432,7 +533,8 @@ class MomentSolution:
             raise InvalidParameter("moment order %d outside 0..%d"
                                    % (p, self.degree))
         if self._quadrature is None:
-            self._quadrature = _shared_node_moments(self)
+            self._quadrature, self.quadrature_level, self.quadrature_gap = \
+                _shared_node_moments(self)
         return self._quadrature[p]
 
     def to_dict(self):
@@ -486,14 +588,10 @@ def solve_moments(target, ws, override_gamma2=False,
             c = list(mp.U_solve(A, mp.L_solve(A, rhs, pivots)))
         # residual of the linear system, judged at doubled precision
         with mp.workprec(2 * bits):
-            h2 = _gram_hankel(n, 2 * bits)
-            ok = True
-            for p in range(n):
-                r = mp.fdot(c, h2[p:p + n]) - mp.mpc(target.entries[p])
-                rel = abs(r) / max(1.0, abs(target.entries[p]))
-                if rel > tolerance * 1e-3:
-                    ok = False
-                    break
+            sums = _window_sums(_as_fixed_coefficients(c),
+                                _gram_rung(n, 2 * bits).fixed, range(n))
+            ok = all(abs(s - mp.mpc(a)) / max(1.0, abs(a)) <= tolerance * 1e-3
+                     for s, a in zip(sums, target.entries))
         if ok:
             solution = MomentSolution(
                 target, ws, c, bits, (), verdict, override_gamma2,

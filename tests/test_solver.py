@@ -155,7 +155,7 @@ def _one_call_lu_solve(target, bits):
     """The coefficients of mpmath's one-call LU solve of the Gram system
     at the given precision, from a freshly built matrix."""
     n = target.degree + 1
-    h = solver._gram_hankel(n, bits)
+    h = solver._gram_rung(n, bits).values
     with mp.workprec(bits):
         G = mp.matrix(n, n)
         for p in range(n):
@@ -235,7 +235,7 @@ def test_a_singular_rung_is_skipped(monkeypatch):
 def test_gram_values_match_the_bessel_routine(monkeypatch):
     for bits in (200, 400):
         _reset_bessel_sequence(monkeypatch)
-        h = solver._gram_hankel(13, bits)
+        h = solver._gram_rung(13, bits).values
         assert len(h) == 25
         with mp.workprec(bits):
             for m in range(25):
@@ -564,6 +564,114 @@ def test_unresolved_quadrature_is_refused(monkeypatch):
     assert gap > 1.0
 
 
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_a_level_cap_that_compares_no_two_levels_is_refused(monkeypatch,
+                                                           cap):
+    # the refusal must not read the gap of a comparison never made
+    monkeypatch.setattr(solver, "_MAX_LEVEL", cap)
+    target = unit_ball_target(WS3, 12, 0.25, seed=0)
+    with pytest.raises(IllConditioned, match="no two trapezoid levels"):
+        solve_moments(target, WS3, tolerance=1e-6)
+
+
+def test_the_pass_records_its_level_and_gap():
+    target = unit_ball_target(WS3, 12, 0.25, seed=0)
+    sol = solve_moments(target, WS3, verify=False)
+    assert sol.quadrature_level is None and sol.quadrature_gap is None
+    sol.moment_quadrature(0)
+    assert sol.quadrature_level == 5
+    assert 0.0 <= sol.quadrature_gap <= sol.tolerance * 1e-6
+    verified = solve_moments(target, WS3)
+    assert (verified.quadrature_level, verified.quadrature_gap) == (
+        sol.quadrature_level, sol.quadrature_gap)
+    assert not any("quadrature" in key for key in verified.to_dict())
+
+
+def _sweep_solution(degree, real, min_bits):
+    target = unit_ball_target(WS3, degree, 0.25, seed=degree + 11)
+    if real:
+        target = SequenceTarget(tuple(v.real for v in target.entries),
+                                h=target.h)
+    return solve_moments(target, WS3, min_bits=min_bits)
+
+
+SWEEP = pytest.mark.parametrize(
+    "degree, real, min_bits",
+    [(d, r, None) for d in (0, 1, 4, 12, 24, 32) for r in (False, True)]
+    + [(d, r, 800) for d in (1, 12) for r in (False, True)])
+
+
+@SWEEP
+def test_integer_window_sums_are_the_fdot_sums(degree, real, min_bits):
+    sol = _sweep_solution(degree, real, min_bits)
+    n = degree + 1
+    coeffs = sol._mp_coeffs
+    dps = max(sol._headroom_dps())
+    with mp.workdps(solver._DPS_GRID * -(-dps // solver._DPS_GRID)):
+        moments = [mp.zero] * (2 * n - 1)  # the mpf rule's running sums
+        for level in range(sol.quadrature_level + 1):
+            row = solver._hankel_table(level, 2 * n - 1)
+            moments = [q + r for q, r in zip(moments, row)]
+            if level < solver._FIRST_LEVEL:
+                continue
+            step = mp.ldexp(1, -level)
+            ref = [step * mp.fdot(coeffs, moments[j:j + n])
+                   for j in range(n)]
+            got = solver._window_sums(
+                sol._fixed, solver._cumulative_table(level, 2 * n - 1),
+                range(n), -level)
+            assert _bits_of(got) == _bits_of(ref)
+    assert _bits_of(sol.moment_quadrature(p) for p in range(n)) \
+        == _bits_of(got)
+    # the doubled-precision residual sums, then the closed-form moments
+    for bits in (2 * sol.precision_bits, sol.precision_bits):
+        h = solver._gram_rung(n, bits).values
+        with mp.workprec(bits):
+            ref = [mp.fdot(coeffs, h[p:p + n]) for p in range(n)]
+            got = solver._window_sums(
+                sol._fixed, solver._gram_rung(n, bits).fixed, range(n))
+        assert _bits_of(got) == _bits_of(ref)
+    assert _bits_of(sol.moment_closed(p) for p in range(n)) == _bits_of(ref)
+
+
+def _mpmath_headroom(sol):
+    """The headroom digits by the mpmath rule: log10 values at the solve
+    precision, added and compared in mpf."""
+    bits = sol.precision_bits
+    with mp.workprec(bits):
+        logv = [mp.log(v, 10)
+                for v in solver._gram_rung(sol.degree + 1, bits).values]
+        logc = [(k, mp.log(abs(c), 10))
+                for k, c in enumerate(sol._mp_coeffs) if c != 0]
+        out = []
+        for p, a_p in enumerate(sol.target.entries):
+            top = max(lc + logv[p + k] for k, lc in logc)
+            extra = float(top - mp.log(max(1.0, abs(a_p)), 10))
+            out.append(30 + max(0, int(math.ceil(extra))))
+    return tuple(out)
+
+
+@SWEEP
+def test_float_headroom_is_the_mpmath_rule(degree, real, min_bits):
+    sol = _sweep_solution(degree, real, min_bits)
+    assert sol._headroom_dps() == _mpmath_headroom(sol)
+
+
+def test_warm_verification_calls_no_fdot(monkeypatch):
+    solve_moments(unit_ball_target(WS3, 12, 0.25, seed=1), WS3)
+    calls = [0]
+    plain = mp.fdot
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return plain(*args, **kwargs)
+    monkeypatch.setattr(mp, "fdot", counting)
+    sol = solve_moments(unit_ball_target(WS3, 12, 0.25, seed=2), WS3)
+    assert max(sol.residuals) < 1e-25
+    sol.moment_closed(3)
+    assert calls[0] == 0
+
+
 def test_verifiers_call_no_bessel_routine(monkeypatch):
     # warm the Gram rows, which only size the quadrature precision
     solve_moments(SequenceTarget((1.0, 0.5, 2.0, 6.0)), WS3)
@@ -622,8 +730,13 @@ def test_module_caches_stay_bounded(monkeypatch):
     for dps in range(20, 20 * 15, 20):
         for level in (0, 1, 2):
             with mp.workdps(dps):
-                solver._hankel_table(level, 3)
+                man, exp = solver._cumulative_table(level, 3)
+                key = (level, mp.prec, 3)
+            # one entry: the count mantissas at one exponent
+            assert len(man) == 3
+            assert all(type(m) is int for m in man) and type(exp) is int
         assert len(solver._HANKEL_CACHE) <= solver._CACHE_SIZE
+    assert list(solver._HANKEL_CACHE)[-1] == key
     monkeypatch.setattr(solver, "_GRAM_CACHE", OrderedDict())
     for n in range(1, 3 * solver._GRAM_CACHE_SIZE):
         solve_moments(SequenceTarget((1.0,) * n), WS3, verify=False)
@@ -639,12 +752,15 @@ def test_trapezoid_tables_converge_to_the_gram_values(dps, degree):
     # 2 K_{m+1}(2); the test may read both, the solver never does
     count = 2 * degree + 1
     with mp.workdps(dps):
-        gram = solver._gram_hankel(degree + 1, mp.prec)
+        gram = solver._gram_rung(degree + 1, mp.prec).values
         bound = mp.ldexp(1, 10 - mp.prec)
         sums = [mp.zero] * count
         for level in range(solver._MAX_LEVEL + 1):
             row = solver._hankel_table(level, count)
             sums = [q + r for q, r in zip(sums, row)]
+            # the cached integer table holds exactly these mpf sums
+            man, exp = solver._cumulative_table(level, count)
+            assert [mp.mpf((m, exp)) for m in man] == sums
             if all(abs(mp.ldexp(q, -level) - g) <= bound * g
                    for q, g in zip(sums, gram)):
                 return
