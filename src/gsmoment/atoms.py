@@ -13,9 +13,13 @@ fall into three envelope groups (flat, reflected flat with y = -x, and
 Gaussian), each one Laurent polynomial in y times its envelope E(y), and
 differentiating such a product stays in the same class, so no finite
 differences enter anywhere. Each instance holds the polynomials of every
-order it has been asked for. Evaluation sums every term of every group
-once in a shifted log domain, so that the huge polynomial factors and the
-tiny envelopes never overflow or underflow each other.
+order it has been asked for, each next to its term arrays (powers, log
+moduli, unit phases and masks), built once per order, and the arrays that
+depend only on the grid (log |y|, the envelopes and the masks of dead
+and negative points), built once per grid for the last few grids.
+Evaluation sums every term of every group once in a shifted log domain,
+so that the huge polynomial factors and the tiny envelopes never
+overflow or underflow each other.
 
 Moments are closed forms: integral x^(p+k) exp(-1/x-x) dx over (0, inf)
 equals 2 K_{p+k+1}(2) (modified Bessel, second kind), and the Gaussian
@@ -40,6 +44,7 @@ GAUSS = "gaussian_poly"
 
 MIN_FLAT_POWER = -8
 MAX_DERIVATIVE_ORDER = 64
+_GRID_MEMO = 4  # grids whose arrays an instance keeps, last used first
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,45 @@ def _next_order(group):
             nxt[j + 1] = nxt.get(j + 1, 0) - 2 * c
     sign = -1 if reflected else 1
     return kind, reflected, {j: sign * c for j, c in nxt.items() if c != 0}
+
+
+def _term_arrays(groups):
+    """The term arrays of one derivative order: every group's terms c y^j,
+    in increasing power, stacked as columns. Returns (spans, powers,
+    log |c|, units c / |c|, odd-power mask, non-constant mask), spans
+    holding (kind, reflected, first row, end row) per group."""
+    spans, terms = [], []
+    for kind, reflected, poly in groups:
+        spans.append((kind, reflected, len(terms), len(terms) + len(poly)))
+        terms += sorted(poly.items())
+    powers = np.array([j for j, _ in terms], dtype=float)[:, None]
+    mods = np.array([abs(c) for _, c in terms])[:, None]
+    # c / |c| per coefficient in Python: numpy's complex division
+    # overflows on a subnormal modulus
+    units = np.array([c / abs(c) for _, c in terms])[:, None]
+    return (tuple(spans), powers, np.log(mods), units,
+            (powers % 2.0) != 0.0, powers != 0.0)
+
+
+def _grid_arrays(x, kind, reflected):
+    """The arrays of one envelope group that depend only on the grid x:
+    (log |y|, log E(y), dead points, points at y = 0, points at y < 0),
+    a mask None where the grid has no such point. Points off the group's
+    support stand at y = 1 (flat) or y = 0 (Gaussian)."""
+    y = -x if reflected else x
+    inside = np.isfinite(y)
+    if kind == FLAT:
+        inside &= y > 0.0
+        ys = np.where(inside, y, 1.0)
+        env = -1.0 / ys - ys
+    else:
+        ys = np.where(inside, y, 0.0)
+        env = -np.square(ys)
+    nz = ys != 0.0
+    logy = np.log(np.abs(np.where(nz, ys, 1.0)))
+    neg = ys < 0.0
+    return (logy, env, None if inside.all() else ~inside,
+            None if nz.all() else ~nz, neg if neg.any() else None)
 
 
 def gauss_moment(n):
@@ -162,12 +206,18 @@ class TestFunction:
         self._log_scale = e * math.log(2.0)
         groups = {}
         for atom, coeff in items:
-            groups.setdefault((atom.kind, atom.reflected), {})[atom.k] = \
-                complex(math.ldexp(coeff.real, -e), math.ldexp(coeff.imag, -e))
+            scaled = complex(math.ldexp(coeff.real, -e),
+                             math.ldexp(coeff.imag, -e))
+            if scaled:  # a subnormal part can flush to zero
+                groups.setdefault((atom.kind, atom.reflected), {})[atom.k] = \
+                    scaled
         # entry m: the envelope groups (kind, reflected, {power: coeff}) of
-        # the m-th derivative
-        self._orders = (tuple((kind, reflected, poly) for (kind, reflected),
-                              poly in groups.items()),)
+        # the m-th derivative and their _term_arrays
+        base = tuple((kind, reflected, poly) for (kind, reflected), poly
+                     in groups.items())
+        self._orders = ((base, _term_arrays(base)),)
+        # (grid key, {(kind, reflected): _grid_arrays}), last used first
+        self._grids = ()
 
     @property
     def is_zero(self):
@@ -195,8 +245,9 @@ class TestFunction:
     def __sub__(self, other):
         return self + (other * -1.0)
 
-    def _groups(self, m):
-        """The envelope groups of the m-th derivative."""
+    def _order(self, m):
+        """The envelope groups of the m-th derivative and their term
+        arrays."""
         if m < 0:
             raise InvalidParameter("derivative order must be >= 0")
         if m > MAX_DERIVATIVE_ORDER:
@@ -204,14 +255,26 @@ class TestFunction:
                 "derivative order %d beyond cap %d" % (m, MAX_DERIVATIVE_ORDER))
         orders = self._orders
         while len(orders) <= m:
-            nxt = tuple(_next_order(g) for g in orders[-1])
+            nxt = tuple(_next_order(g) for g in orders[-1][0])
             if not all(cmath.isfinite(c) for _, _, poly in nxt
                        for c in poly.values()):
                 raise DepthExceeded("derivative coefficients of order %d "
                                     "beyond float range" % len(orders))
-            orders += (nxt,)
+            orders += ((nxt, _term_arrays(nxt)),)
         self._orders = orders  # one assignment, so readers see a whole table
         return orders[m]
+
+    def _grid(self, x):
+        """The _grid_arrays of every envelope group on x, from the memo of
+        the last _GRID_MEMO grids."""
+        key = (x.shape, x.tobytes())
+        for k, arrays in self._grids:
+            if k == key:
+                return arrays
+        arrays = {(kind, reflected): _grid_arrays(x, kind, reflected)
+                  for kind, reflected, _ in self._orders[0][0]}
+        self._grids = ((key, arrays),) + self._grids[:_GRID_MEMO - 1]
+        return arrays
 
     def _shifted_sum(self, x, m):
         """(shift, acc) with phi^(m)(x) = acc * exp(shift) on a float array.
@@ -220,40 +283,40 @@ class TestFunction:
         one shift, the largest term log-magnitude at each point; shift is
         -inf, and acc 0, where no term is alive.
         """
+        _, (spans, powers, logmods, units, odd, nonconst) = self._order(m)
+        if not spans:
+            return np.full(x.shape, -math.inf), np.zeros(x.shape, dtype=complex)
+        grid = self._grid(x)
         logs, phases = [], []
-        for kind, reflected, poly in self._groups(m):
-            y = -x if reflected else x
-            inside = np.isfinite(y)
-            if kind == FLAT:
-                inside &= y > 0.0
-                ys = np.where(inside, y, 1.0)
-                env = -1.0 / ys - ys
-            else:
-                ys = np.where(inside, y, 0.0)
-                env = -np.square(ys)
-            terms = sorted(poly.items())
-            powers = np.array([j for j, _ in terms], dtype=float)[:, None]
-            mods = np.array([abs(c) for _, c in terms])[:, None]
-            # c / |c| per coefficient in Python: numpy's complex division
-            # overflows on a subnormal modulus
-            units = np.array([c / abs(c) for _, c in terms])[:, None]
-            nz = ys != 0.0
-            logy = np.log(np.abs(np.where(nz, ys, 1.0)))
-            logterm = np.log(mods) + powers * logy + env
+        for kind, reflected, a, b in spans:
+            logy, env, out, zero, neg = grid[kind, reflected]
+            # log|c| + j log|y| + log E(y), summed in place: temporaries
+            # of this size cost more than the arithmetic
+            logterm = powers[a:b] * logy
+            logterm += logmods[a:b]
+            logterm += env
             # off the support every term dies; at y = 0 (Gaussian only)
             # every term but the constant one
-            dead = ~inside | ((powers != 0.0) & ~nz)
-            logs.append(np.where(dead, -math.inf, logterm))
-            odd = ((powers % 2.0) != 0.0) & (ys < 0.0)  # y^j = (-1)^j |y|^j
-            phases.append(np.where(odd, -1.0, 1.0) * units)
-        if not logs:
-            return np.full(x.shape, -math.inf), np.zeros(x.shape, dtype=complex)
-        logterm = np.concatenate(logs)
+            dead = out
+            if zero is not None:
+                at_zero = nonconst[a:b] & zero
+                dead = at_zero if dead is None else dead | at_zero
+            if dead is not None:
+                np.copyto(logterm, -math.inf, where=dead)
+            logs.append(logterm)
+            # y^j = (-1)^j |y|^j
+            phases.append(units[a:b] if neg is None else
+                          np.where(odd[a:b] & neg, -1.0, 1.0) * units[a:b])
+        if len(logs) == 1:
+            logterm, phase = logs[0], phases[0]
+        else:
+            logterm = np.concatenate(logs)
+            phase = np.concatenate([np.broadcast_to(p, t.shape)
+                                    for p, t in zip(phases, logs)])
         shift = logterm.max(axis=0)
-        safe_shift = np.where(np.isfinite(shift), shift, 0.0)
-        acc = np.sum(np.concatenate(phases) * np.exp(logterm - safe_shift),
-                     axis=0)
-        return shift + self._log_scale, acc
+        logterm -= np.where(np.isfinite(shift), shift, 0.0)
+        terms = phase * np.exp(logterm, out=logterm)
+        return shift + self._log_scale, np.sum(terms, axis=0)
 
     def eval_derivative(self, x, m=0):
         """Pointwise m-th derivative. Scalar in, scalar out."""
@@ -329,8 +392,12 @@ def default_grid(ws, h, whole_line=False):
     if upper <= 1e-3:
         pos = np.geomspace(upper * 1e-4, upper, 129)
     else:
-        pos = np.union1d(np.geomspace(1e-4, upper, 257),
-                         np.linspace(1e-4, min(2.0, upper), 65))
+        # the sorted union of the two, as np.union1d gives it but without
+        # the numpy.ma import that np.unique makes on its first call
+        pos = np.concatenate([np.geomspace(1e-4, upper, 257),
+                              np.linspace(1e-4, min(2.0, upper), 65)])
+        pos.sort()
+        pos = pos[np.concatenate([[True], pos[1:] != pos[:-1]])]
     if whole_line:
         return np.concatenate([-pos[::-1], pos])
     return pos
@@ -339,12 +406,14 @@ def default_grid(ws, h, whole_line=False):
 def _weighted_log_profile(phi, orders, h, ws, grid, rows):
     """For each m in orders: log sup over the grid of |phi^(m)| e^{M(h|x|)}.
 
-    rows maps (grid bytes, m) to log|phi^(m)| on that grid; a missing
-    row is computed and stored. Returns (per-order log sups, argmax
-    locations)."""
-    assoc = ws.associated()
-    weight = assoc.values(h * np.abs(grid))
+    rows maps (grid bytes, m) to log|phi^(m)| on that grid and
+    (grid bytes, "weight", h) to M(h|x|) on it; a missing row is computed
+    and stored. Returns (per-order log sups, argmax locations)."""
     key = grid.tobytes()
+    weight = rows.get((key, "weight", h))
+    if weight is None:
+        weight = rows[key, "weight", h] = ws.associated().values(
+            h * np.abs(grid))
     sups, args = [], []
     for m in orders:
         row = rows.get((key, m))

@@ -40,9 +40,12 @@ The Gram values h[m] = 2 K_{m+1}(2), m = 0..2P, are rounded down, rung
 by rung, from the K_n(2) sequence of the bessel module; the matrix is
 G[p, k] = h[p + k], and sum_k c_k h[p + k] is moment p in closed form.
 None of it depends on the target, so each Gram rung -- the values at one
-(n, bits), their log10 values and the LU factors of G -- is built once
-and kept in the bounded _GRAM_CACHE. A warm solve is then one forward
-and one back substitution, O(n^2) instead of the O(n^3) factorization.
+(n, bits), their log10 values and the LU factors of G as rows of raw mpf
+values -- is built once and kept in the bounded _GRAM_CACHE. A warm
+solve is then one forward and one back substitution on those rows,
+O(n^2) instead of the O(n^3) factorization, made of libmp's rounded
+products, differences and quotients in the order of mp.L_solve and
+mp.U_solve, so its coefficients are bit for bit theirs.
 The residual check at doubled precision and moment_closed form their
 sums with the verifier's integer window product, over the Gram values.
 
@@ -66,7 +69,8 @@ from operator import mul
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero, round_nearest
+from mpmath.libmp import (from_float, from_man_exp, fzero, mpf_div, mpf_mul,
+                          mpf_sub, round_nearest)
 
 from .atoms import (FLAT, TestFunction, _log_seminorm, _seminorm_scales,
                     default_grid)
@@ -329,9 +333,9 @@ class _GramRung:
     """The moment matrix of n atoms at one precision: the 2n - 1 values
     h[m] = 2 K_{m+1}(2), G[p, k] = h[p + k], and, each made on first use,
     their log10 values as floats, the values in _as_fixed form and the LU
-    factors of G with their pivots (None when G is numerically singular
-    at this precision). Every solve of the rung reads the same factor
-    matrix, so nothing may write to it."""
+    factors of G as (rows, pivots), rows being the factor matrix of
+    mp.LU_decomp as tuples of raw mpf values (None when G is numerically
+    singular at this precision)."""
 
     def __init__(self, n, bits):
         self.n = n
@@ -367,9 +371,12 @@ class _GramRung:
                     for k in range(n):
                         G[p, k] = h[p + k]
                 try:
-                    self._lu = mp.LU_decomp(G, overwrite=True)
+                    A, pivots = mp.LU_decomp(G, overwrite=True)
                 except ZeroDivisionError:
-                    self._lu = None
+                    pass
+                else:
+                    self._lu = (tuple(tuple(A[p, k]._mpf_ for k in range(n))
+                                      for p in range(n)), tuple(pivots))
             self._factored = True
         return self._lu
 
@@ -385,6 +392,45 @@ def _gram_rung(n, bits):
     if len(_GRAM_CACHE) > _GRAM_CACHE_SIZE:
         _GRAM_CACHE.popitem(last=False)
     return rung
+
+
+def _substitute(lu, b, prec):
+    """The solution of G c = b for raw mpf reals b, from the rung's LU
+    factors: the forward and back substitution of mp.L_solve and
+    mp.U_solve, in their order and with their roundings at prec bits, so
+    bit for bit their result as raw mpf values."""
+    rows, pivots = lu
+    b = list(b)
+    for k, p in enumerate(pivots):
+        b[k], b[p] = b[p], b[k]
+    n = len(b)
+    rnd = round_nearest
+    for i in range(1, n):
+        row, bi = rows[i], b[i]
+        for j in range(i):
+            bi = mpf_sub(bi, mpf_mul(row[j], b[j], prec, rnd), prec, rnd)
+        b[i] = bi
+    for i in range(n - 1, -1, -1):
+        row, bi = rows[i], b[i]
+        for j in range(i + 1, n):
+            bi = mpf_sub(bi, mpf_mul(row[j], b[j], prec, rnd), prec, rnd)
+        b[i] = mpf_div(bi, row[i], prec, rnd)
+    return b
+
+
+def _solve_rung(lu, target, prec):
+    """The coefficients of the target from the rung's LU factors, bit for
+    bit those of mp.U_solve(A, mp.L_solve(A, rhs, pivots)) at prec bits.
+    mpmath's complex-by-real product, difference and quotient
+    (mpc_mul_mpf, mpc_sub, mpc_div_mpf) round each part apart, so a
+    complex target is its real and imaginary parts substituted apart."""
+    re = _substitute(lu, [from_float(v.real) for v in target.entries], prec)
+    if target.is_real:
+        return [mp.make_mpf(x) for x in re]
+    im = _substitute(lu, [from_float(v.imag) for v in target.entries], prec)
+    # mpmath's matrices store no zeros and read them back as mpf zero
+    return [mp.make_mpc(z) if z != (fzero, fzero) else mp.zero
+            for z in zip(re, im)]
 
 
 def _checked_solve_args(tolerance, min_bits=None):
@@ -581,11 +627,7 @@ def solve_moments(target, ws, override_gamma2=False,
         lu = _gram_rung(n, bits).lu
         if lu is None:
             continue
-        A, pivots = lu
-        with mp.workprec(bits + _LU_GUARD):
-            rhs = mp.matrix([mp.mpc(v) if not target.is_real else mp.mpf(v.real)
-                             for v in target.entries])
-            c = list(mp.U_solve(A, mp.L_solve(A, rhs, pivots)))
+        c = _solve_rung(lu, target, bits + _LU_GUARD)
         # residual of the linear system, judged at doubled precision
         with mp.workprec(2 * bits):
             sums = _window_sums(_as_fixed_coefficients(c),

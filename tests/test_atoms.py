@@ -1,6 +1,9 @@
 """Atom evaluation, exact derivatives, closed-form moments, seminorms."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,8 @@ from hypothesis import strategies as st
 from gsmoment import atoms
 from gsmoment import (Atom, DepthExceeded, InvalidParameter, TestFunction,
                       UnsupportedAtom, dual_seminorm_pair, flat, gauss_poly,
-                      gevrey, log_seminorm, seminorm)
+                      gevrey, log_seminorm, q_gevrey, seminorm,
+                      solve_moments, unit_ball_target)
 
 # independently computed reference values (25-digit arithmetic):
 # integral of x^p exp(-1/x - x) over the half line equals twice the
@@ -226,6 +230,16 @@ def test_value_and_log_magnitude_agree_on_a_mix_of_envelopes():
     assert phi.eval_derivative(0.0, 1) == pytest.approx(0.5, rel=1e-15)
 
 
+def test_coefficients_that_flush_to_zero_drop_out():
+    # parts are scaled by the power of two of the largest one, which
+    # takes a subnormal coefficient to zero: it adds nothing, and the
+    # order-0 row must not divide by its modulus
+    phi = 2.0 * flat(0) + 5e-324 * gauss_poly(1)
+    assert len(phi.atoms) == 2
+    assert phi(1.0) == 2.0 * flat(0)(1.0)
+    assert phi.eval_derivative(1.0, 1) == 2.0 * flat(0).eval_derivative(1.0, 1)
+
+
 def test_negative_power_atoms_evaluate():
     phi = flat(-8)
     assert phi(0.5) == pytest.approx(0.5 ** -8 * math.exp(-2.5), rel=1e-13)
@@ -275,3 +289,139 @@ def test_dual_pairing_seminorm_is_finite_for_atoms():
     amplitude = gevrey(3.0, horizon=256)
     val = dual_seminorm_pair(flat(1), weight, amplitude, 1.0, order_cap=4)
     assert math.isfinite(val) and val > 0
+
+
+def _reference_shifted_sum(phi, x, m):
+    """The per-call evaluation that TestFunction._shifted_sum replaced:
+    every array rebuilt from the polynomials and the grid on each call."""
+    logs, phases = [], []
+    for kind, reflected, poly in phi._order(m)[0]:
+        y = -x if reflected else x
+        inside = np.isfinite(y)
+        if kind == atoms.FLAT:
+            inside &= y > 0.0
+            ys = np.where(inside, y, 1.0)
+            env = -1.0 / ys - ys
+        else:
+            ys = np.where(inside, y, 0.0)
+            env = -np.square(ys)
+        terms = sorted(poly.items())
+        powers = np.array([j for j, _ in terms], dtype=float)[:, None]
+        mods = np.array([abs(c) for _, c in terms])[:, None]
+        units = np.array([c / abs(c) for _, c in terms])[:, None]
+        nz = ys != 0.0
+        logy = np.log(np.abs(np.where(nz, ys, 1.0)))
+        logterm = np.log(mods) + powers * logy + env
+        dead = ~inside | ((powers != 0.0) & ~nz)
+        logs.append(np.where(dead, -math.inf, logterm))
+        odd = ((powers % 2.0) != 0.0) & (ys < 0.0)
+        phases.append(np.where(odd, -1.0, 1.0) * units)
+    if not logs:
+        return np.full(x.shape, -math.inf), np.zeros(x.shape, dtype=complex)
+    logterm = np.concatenate(logs)
+    shift = logterm.max(axis=0)
+    safe_shift = np.where(np.isfinite(shift), shift, 0.0)
+    acc = np.sum(np.concatenate(phases) * np.exp(logterm - safe_shift),
+                 axis=0)
+    return shift + phi._log_scale, acc
+
+
+def _ball_functions_and_grids():
+    ws = gevrey(3.0, horizon=256)
+    for seed, h in ((0, 0.25), (1, 1.0), (2, 4.0)):
+        sol = solve_moments(unit_ball_target(ws, 12, h, seed), ws,
+                            verify=False)
+        yield sol.function, atoms.default_grid(ws, h)
+
+
+def test_rows_match_the_per_call_reference_bit_for_bit():
+    # whole rows only: numpy sums a single column pairwise, so a point
+    # evaluated alone may differ in its last bits from the same point
+    # inside a grid, with either evaluation
+    edge = np.array([-np.inf, -6.0, -2.0, -0.7, -1e-300, -5e-324, -0.0, 0.0,
+                     5e-324, 1e-300, 1e-3, 0.7, 2.0, 6.0, np.inf, np.nan])
+    grids = [edge, edge[edge > 0.0], np.array([-0.5]), np.array([-0.5, 0.0]),
+             np.linspace(-5.0, 5.0, 101), np.geomspace(1e-4, 50.0, 200)]
+    reflected = TestFunction([("flat_halfline", 2, 0.5, -0.25, True),
+                              ("flat_halfline", 0, 0.0, 1.0, True)])
+    functions = [flat(0) + flat(3, -2.5) + flat(-2, 1j), flat(2, -1j),
+                 reflected, gauss_poly(0) + gauss_poly(5, 1 + 1j),
+                 flat(1, 2.0) + reflected + gauss_poly(3, -1.5j),
+                 TestFunction([])]
+    cases = [(phi, g) for phi in functions for g in grids]
+    cases += list(_ball_functions_and_grids())
+    for phi, grid in cases:
+        for m in range(9):
+            with np.errstate(all="ignore"):
+                want = _reference_shifted_sum(phi, grid, m)
+                got = phi._shifted_sum(grid, m)
+            for w, g in zip(want, got):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes(), (phi, grid, m)
+
+
+def test_term_arrays_are_built_once_per_order(monkeypatch):
+    builds = []
+    plain = atoms._term_arrays
+    monkeypatch.setattr(atoms, "_term_arrays",
+                        lambda groups: builds.append(groups) or plain(groups))
+    phi = TestFunction([("flat_halfline", 1, 2.0), ("gaussian_poly", 2, 1.0)])
+    grids = [np.linspace(-3.0, 3.0, n) for n in (7, 9, 11, 13, 15, 17)]
+    for grid in grids * 2:
+        for m in range(9):
+            phi.log_abs_derivative(grid, m)
+    assert len(builds) == 9
+    assert [g for g, _ in phi._orders] == builds
+
+
+def test_grid_arrays_are_built_once_per_remembered_grid(monkeypatch):
+    builds = []
+    plain = atoms._grid_arrays
+    monkeypatch.setattr(atoms, "_grid_arrays",
+                        lambda x, *group: builds.append(group) or plain(x, *group))
+    phi = flat(1, 2.0) + gauss_poly(2)  # two envelope groups
+    grid = np.linspace(-3.0, 3.0, 31)
+    for m in range(9):
+        phi.log_abs_derivative(grid, m)
+    assert len(builds) == 2
+    # the memo keeps a fixed number of grids, the last used first
+    others = [np.linspace(-2.0, 2.0, n) for n in range(5, 5 + atoms._GRID_MEMO)]
+    for other in others:
+        phi.log_abs_derivative(other, 3)
+        assert len(phi._grids) <= atoms._GRID_MEMO
+    assert len(builds) == 2 * (1 + atoms._GRID_MEMO)
+    phi.log_abs_derivative(others[-1].copy(), 4)  # keyed by contents
+    assert len(builds) == 2 * (1 + atoms._GRID_MEMO)
+    phi.log_abs_derivative(grid, 0)  # forgotten, so built again
+    assert len(builds) == 2 * (2 + atoms._GRID_MEMO)
+
+
+@pytest.mark.parametrize("whole_line", [False, True])
+def test_default_grid_is_the_sorted_union(whole_line):
+    for ws in (gevrey(2.0, horizon=256), q_gevrey(1.5, horizon=64),
+               gevrey(1.0, horizon=64)):
+        for h in (0.01, 0.25, 1.0, 4.0, 100.0, 1e4, 1e5):
+            upper = atoms._grid_upper(ws, h)
+            grid = atoms.default_grid(ws, h, whole_line=whole_line)
+            if upper <= 1e-3:
+                continue
+            pos = np.union1d(np.geomspace(1e-4, upper, 257),
+                             np.linspace(1e-4, min(2.0, upper), 65))
+            want = np.concatenate([-pos[::-1], pos]) if whole_line else pos
+            assert grid.dtype == want.dtype
+            assert grid.tobytes() == want.tobytes()
+
+
+def test_default_grid_leaves_numpy_ma_unloaded():
+    # np.union1d imports numpy.ma on its first call, ~15 ms per process
+    script = ("import sys, gsmoment\n"
+              "from gsmoment.atoms import default_grid\n"
+              "default_grid(gsmoment.gevrey(3.0, horizon=256), 1.0, True)\n"
+              "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(atoms.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.strip() == "False"

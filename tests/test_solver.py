@@ -185,6 +185,76 @@ def test_cached_factors_give_the_one_call_lu_coefficients(degree, real,
         assert _bits_of(sol._mp_coeffs) == _bits_of(ref)
 
 
+def _lu_factors(n, bits):
+    """mp.LU_decomp's factor matrix and pivots for the Gram matrix of the
+    (n, bits) rung at the guarded precision, or None when singular."""
+    h = solver._gram_rung(n, bits).values
+    with mp.workprec(bits + solver._LU_GUARD):
+        G = mp.matrix(n, n)
+        for p in range(n):
+            for k in range(n):
+                G[p, k] = h[p + k]
+        try:
+            return mp.LU_decomp(G)
+        except ZeroDivisionError:
+            return None
+
+
+def _mpmath_substitution(A, pivots, target, prec):
+    with mp.workprec(prec):
+        rhs = mp.matrix([mp.mpc(v) if not target.is_real else mp.mpf(v.real)
+                         for v in target.entries])
+        return list(mp.U_solve(A, mp.L_solve(A, rhs, pivots)))
+
+
+@pytest.mark.parametrize("bits", [200, 400, 800])
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 33])
+def test_substitution_on_stored_rows_is_mpmaths(n, bits):
+    factors = _lu_factors(n, bits)
+    rung = solver._gram_rung(n, bits)
+    if factors is None:  # n = 33 at 200 bits
+        assert rung.lu is None
+        return
+    A, pivots = factors
+    rows, stored_pivots = rung.lu
+    assert rows == tuple(tuple(A[p, k]._mpf_ for k in range(n))
+                         for p in range(n))
+    assert stored_pivots == tuple(pivots)
+    prec = bits + solver._LU_GUARD
+    ball = unit_ball_target(WS3, n - 1, 1.0, seed=n + bits)
+    gapped = SequenceTarget((0j,) + ball.entries[1:], h=ball.h)
+    for target in (ball, gapped, SequenceTarget(
+            tuple(v.real for v in ball.entries), h=ball.h)):
+        ref = _mpmath_substitution(A, pivots, target, prec)
+        got = solver._solve_rung(rung.lu, target, prec)
+        assert [type(v) for v in got] == [type(v) for v in ref]
+        assert _bits_of(got) == _bits_of(ref)
+
+
+def test_an_exact_zero_coefficient_keeps_mpmaths_type():
+    # mpmath's matrices hold no zeros and read them back as mpf zero, so
+    # an exactly zero complex coefficient comes back real
+    A = mp.eye(2)
+    lu = (tuple(tuple(A[p, k]._mpf_ for k in range(2)) for p in range(2)),
+          (0,))
+    target = SequenceTarget((0j, 2j))
+    ref = _mpmath_substitution(A, [0], target, 210)
+    got = solver._solve_rung(lu, target, 210)
+    assert [type(v) for v in got] == [type(v) for v in ref] == [
+        type(mp.zero), type(mp.mpc(1j))]
+    assert _bits_of(got) == _bits_of(ref)
+
+
+def test_no_solve_builds_an_mpmath_matrix(monkeypatch):
+    target = unit_ball_target(WS3, 12, 0.25, seed=7)
+    solve_moments(target, WS3, verify=False)  # factored, then warm
+    for name in ("matrix", "L_solve", "U_solve", "lu_solve"):
+        monkeypatch.setattr(mp, name, None)
+    sol = solve_moments(unit_ball_target(WS3, 12, 0.25, seed=8), WS3,
+                        verify=False)
+    assert sol.degree == 12
+
+
 def _count_lu_decomp(monkeypatch):
     calls = []
     plain = mp.LU_decomp
