@@ -165,16 +165,20 @@ def _atom_moment(atom, p):
 def _coerce_atom(spec):
     if isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[0], Atom):
         return spec
-    if isinstance(spec, (tuple, list)):
-        if len(spec) == 3:
-            kind, k, coeff = spec
-            return Atom(kind, int(k)), complex(coeff)
-        if len(spec) == 4:
-            kind, k, re, im = spec
-            return Atom(kind, int(k)), complex(float(re), float(im))
-        if len(spec) == 5:
-            kind, k, re, im, reflected = spec
-            return Atom(kind, int(k), bool(reflected)), complex(float(re), float(im))
+    try:
+        if isinstance(spec, (tuple, list)):
+            if len(spec) == 3:
+                kind, k, coeff = spec
+                return Atom(kind, int(k)), complex(coeff)
+            if len(spec) == 4:
+                kind, k, re, im = spec
+                return Atom(kind, int(k)), complex(float(re), float(im))
+            if len(spec) == 5:
+                kind, k, re, im, reflected = spec
+                return (Atom(kind, int(k), bool(reflected)),
+                        complex(float(re), float(im)))
+    except (OverflowError, TypeError, ValueError):  # not a number
+        pass
     raise InvalidParameter("atom spec must be (kind, k, coeff) or "
                            "(kind, k, re, im[, reflected]), got %r" % (spec,))
 

@@ -6,7 +6,8 @@ Three computations need K:
     exp(-x - 1/x), whose entries are 2 K_{p+k+1}(2) at up to 4000 bits
     (k2_sequence);
   * the float moments of the flat atoms, integral of x^nu exp(-1/x - x)
-    over (0, inf), which is 2 K_{nu+1}(2) (flat_moment);
+    over (0, inf), which is 2 K_{nu+1}(2) at integer and half-integer nu
+    (flat_moment);
   * the half-plane transform, K_n(w) for complex w = 2 sqrt(1 - iz)
     (k_run).
 
@@ -36,7 +37,7 @@ import math
 
 from mpmath import mp
 
-from .errors import IllConditioned
+from .errors import IllConditioned, InvalidParameter
 
 _K2_GUARD = 20  # bits _K2 is held beyond the highest precision asked for
 _K2_BITS = 0    # precision of _K2, guard bits included
@@ -146,8 +147,10 @@ def k_run(lo, hi, w):
 
 def flat_moment(nu):
     """Integral of x^nu exp(-1/x - x) over (0, inf), which is
-    2 K_{nu+1}(2), as a float; nu may be any real. Integer orders are
-    read from k2_sequence, and the value is inf from |nu + 1| = 172 on,
+    2 K_{nu+1}(2), as a float, for integer and half-integer nu. Integer
+    orders are read from k2_sequence; half-integer ones run the recurrence
+    up from K_{1/2}(2) = (sqrt(pi)/2) e^-2 and K_{3/2}(2) = 1.5 K_{1/2}(2)
+    (DLMF 10.39.2 and 10.29.1). The value is inf from |nu + 1| = 172 on,
     where it overflows a double."""
     order = abs(nu + 1)  # K_{-v} = K_v
     if order >= _FLOAT_OVERFLOW_ORDER:
@@ -155,5 +158,12 @@ def flat_moment(nu):
     if float(order).is_integer():
         n = int(order)
         return 2.0 * float(k2_sequence(n + 1, _FLOAT_BITS)[n])
-    with mp.workprec(_FLOAT_BITS):
-        return 2.0 * float(mp.besselk(order, 2))
+    if not float(2 * order).is_integer():
+        raise InvalidParameter(
+            "flat moments need an integer or half-integer power, got %r" % nu)
+    n = int(order)  # the order is n + 1/2
+    with mp.workprec(_FLOAT_BITS + _K2_GUARD):
+        half = mp.sqrt(mp.pi) / 2 * mp.exp(-2)
+        ks = [half, 1.5 * half]
+        _recur(ks, 0.5, n + 1, 2)
+        return 2.0 * float(ks[n])

@@ -72,17 +72,20 @@ def _function_from_args(value):
     data = _load_json_arg(value, "--function")
     if isinstance(data, list):
         data = {"atoms": data}
-    if "atoms" not in data:
+    if not (isinstance(data, dict) and isinstance(data.get("atoms"), list)):
         raise UsageError("--function: expected {\"atoms\": [...]}")
     return TestFunction.from_dict(data)
 
 
 def _entries_from_json(data, label):
+    if not isinstance(data, list):
+        raise UsageError("%s: expected a list of entries" % label)
     out = []
     for item in data:
         if isinstance(item, (int, float)):
             out.append(complex(item))
-        elif isinstance(item, list) and len(item) == 2:
+        elif (isinstance(item, list) and len(item) == 2
+              and all(isinstance(v, (int, float)) for v in item)):
             out.append(complex(float(item[0]), float(item[1])))
         else:
             raise UsageError(
@@ -92,10 +95,14 @@ def _entries_from_json(data, label):
 
 def _target_from_args(value):
     data = _load_json_arg(value, "--target")
-    if isinstance(data, list):
-        return SequenceTarget(_entries_from_json(data, "--target"))
-    h = float(data.get("h", 1.0))
-    return SequenceTarget(_entries_from_json(data["entries"], "--target"), h)
+    if not isinstance(data, dict):
+        data = {"entries": data}
+    try:
+        h = float(data.get("h", 1.0))
+    except (TypeError, ValueError):
+        raise UsageError("--target: h must be a number") from None
+    return SequenceTarget(_entries_from_json(data.get("entries"), "--target"),
+                          h)
 
 
 def _pair(z):

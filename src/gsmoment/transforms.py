@@ -28,8 +28,8 @@ MAX_CHAIN_ORDER = 8
 
 
 def halfline_moment(phi, nu):
-    """Integral of x^nu phi(x) over (0, inf), closed form. nu may be any
-    real for flat atoms; Gaussian atoms need nu + k > -1."""
+    """Integral of x^nu phi(x) over (0, inf), closed form. Flat atoms need
+    an integer or half-integer nu; Gaussian atoms need nu + k > -1."""
     terms = []
     for atom, coeff in phi.atoms:
         if atom.kind == FLAT:

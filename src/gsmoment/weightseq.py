@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 import sys
 
 import numpy as np
@@ -73,15 +74,20 @@ def _lgamma(x):
     return out[()]
 
 
-_EXPR_NAMESPACE = {
-    "log": np.log,
-    "exp": np.exp,
-    "sqrt": np.sqrt,
-    "lgamma": _lgamma,
-    "pow": np.power,
-    "pi": math.pi,
-    "e": math.e,
-}
+# the rule language of from_expr: its operators, constants and functions;
+# the wrappers fix each function's arity, since a numpy ufunc would take a
+# second positional argument as its output array
+_RULE_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
+                   ast.Mult: operator.mul, ast.Div: operator.truediv,
+                   ast.Pow: operator.pow, ast.UAdd: operator.pos,
+                   ast.USub: operator.neg}
+_RULE_CONSTANTS = {"pi": math.pi, "e": math.e}
+_RULE_FUNCTIONS = {"log": lambda x: np.log(x), "exp": lambda x: np.exp(x),
+                   "sqrt": lambda x: np.sqrt(x), "lgamma": _lgamma,
+                   "pow": lambda x, y: np.power(x, y)}
+# characters a rule may have: the deepest rule within it, 499 nested
+# signs, evaluates well inside the interpreter's recursion limit
+_RULE_CAP = 500
 
 
 class WeightSequence:
@@ -275,9 +281,18 @@ def associated_function(ws, t):
     return ws.associated().value(t)
 
 
+def _number(value, what):
+    """float(value), refused as InvalidParameter if it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidParameter("%s must be a number, got %r"
+                               % (what, value)) from None
+
+
 def gevrey(alpha, horizon=DEFAULT_HORIZON):
     """Factorial-power sequence M_p = (p!)^alpha, alpha > 0."""
-    alpha = float(alpha)
+    alpha = _number(alpha, "gevrey exponent")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise InvalidParameter("gevrey exponent must be positive, got %r" % alpha)
     vec = lambda ps: alpha * _lgamma(np.asarray(ps) + 1.0)
@@ -286,7 +301,7 @@ def gevrey(alpha, horizon=DEFAULT_HORIZON):
 
 def q_gevrey(q, horizon=DEFAULT_HORIZON):
     """Geometric-square sequence M_p = q^(p^2), q > 1."""
-    q = float(q)
+    q = _number(q, "qgevrey base")
     if not (math.isfinite(q) and q > 1.0):
         raise InvalidParameter("qgevrey base must exceed 1, got %r" % q)
     lnq = math.log(q)
@@ -296,74 +311,92 @@ def q_gevrey(q, horizon=DEFAULT_HORIZON):
 
 def from_table(log_values, horizon=None):
     """Sequence given by explicit log M_p values (index 0..horizon)."""
-    log_values = np.asarray(log_values, dtype=float)
+    try:
+        log_values = np.asarray(log_values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameter("table log-values must be numbers") from None
     if horizon is None:
         horizon = len(log_values) - 1
     return WeightSequence("table", {"log_values": log_values}, horizon,
                           log_values=log_values)
 
 
-class _FloatLiterals(ast.NodeTransformer):
-    """Integer literals become floats, so a rule cannot build unbounded
-    Python ints: 10**10**7 overflows at once instead of running for
-    minutes."""
-
-    def visit_Constant(self, node):
-        if type(node.value) is int:
-            return ast.copy_location(ast.Constant(float(node.value)), node)
-        return node
+def _rule_value(node, names):
+    """The value of one node of a parsed weight rule, given its names."""
+    kind = type(node)
+    if kind is ast.Constant and type(node.value) in (int, float):
+        return float(node.value)
+    if kind is ast.Name and node.id in names:
+        return names[node.id]
+    if kind is ast.BinOp and type(node.op) in _RULE_OPERATORS:
+        return _RULE_OPERATORS[type(node.op)](_rule_value(node.left, names),
+                                              _rule_value(node.right, names))
+    if kind is ast.UnaryOp and type(node.op) in _RULE_OPERATORS:
+        return _RULE_OPERATORS[type(node.op)](_rule_value(node.operand, names))
+    if (kind is ast.Call and type(node.func) is ast.Name
+            and node.func.id in _RULE_FUNCTIONS and not node.keywords):
+        return _RULE_FUNCTIONS[node.func.id](
+            *[_rule_value(arg, names) for arg in node.args])
+    raise InvalidParameter("weight rule may not contain %r" % ast.unparse(node))
 
 
 def from_expr(expression, horizon=DEFAULT_HORIZON):
-    """Sequence given by a closed-form rule for log M_p in the variable p.
-
-    The rule is evaluated with numpy semantics in a namespace restricted to
-    log, exp, sqrt, lgamma, pow, pi, e. Example: "2*lgamma(p+1)". Integer
-    literals are read as floats; a rule that overflows or mixes in
-    non-numbers raises InvalidParameter.
-    """
+    """Sequence given by a closed-form rule for log M_p in the variable p,
+    e.g. "2*lgamma(p+1)". Each evaluation walks the parsed rule, which may
+    hold only numbers (read as floats, so 10**10**7 overflows at once),
+    the names p, pi, e, the operators + - * / ** and unary + -, and calls
+    log(x), exp(x), sqrt(x), lgamma(x), pow(x, y), all with numpy
+    semantics. Other syntax, over _RULE_CAP characters, and a value that
+    overflows, divides by zero or is not real raise InvalidParameter."""
+    text = str(expression)
+    if len(text) > _RULE_CAP:
+        raise InvalidParameter("weight rule longer than %d characters"
+                               % _RULE_CAP)
     try:
-        tree = _FloatLiterals().visit(ast.parse(str(expression), mode="eval"))
-    except OverflowError as exc:  # an integer literal beyond float range
-        raise InvalidParameter("weight rule %r fails: %s"
-                               % (str(expression), exc)) from None
-    code = compile(tree, "<weight-rule>", "eval")
-    names = set(code.co_names) - set(_EXPR_NAMESPACE) - {"p"}
-    if names:
-        raise InvalidParameter(
-            "unknown names in weight rule: %s" % ", ".join(sorted(names)))
+        tree = ast.parse(text, mode="eval").body
+    except (SyntaxError, ValueError) as exc:
+        raise InvalidParameter("weight rule %r fails: %s" % (text, exc)) from None
 
     def vec(ps):
-        env = dict(_EXPR_NAMESPACE)
-        env["p"] = np.asarray(ps, dtype=float)
+        p = np.asarray(ps, dtype=float)
         try:
-            return np.asarray(eval(code, {"__builtins__": {}}, env),
-                              dtype=float)
-        except (OverflowError, TypeError) as exc:
+            value = np.asarray(_rule_value(tree, dict(_RULE_CONSTANTS, p=p)))
+            if value.dtype != float:
+                raise TypeError("the value is not real")
+        except (OverflowError, TypeError, ZeroDivisionError) as exc:
             raise InvalidParameter("weight rule %r fails: %s"
-                                   % (str(expression), exc)) from None
+                                   % (text, exc)) from None
+        return np.broadcast_to(value, p.shape).copy()
 
-    return WeightSequence("expr", {"expression": str(expression)}, horizon,
+    return WeightSequence("expr", {"expression": text}, horizon,
                           log_weight_vec=vec)
 
 
 def make_sequence(descriptor, horizon=None):
-    """Build a sequence from a config descriptor {kind, params, horizon?}."""
-    if not isinstance(descriptor, dict):
-        raise InvalidParameter("sequence descriptor must be a mapping")
+    """Build a sequence from a config descriptor {kind, params, horizon?};
+    a malformed descriptor raises InvalidParameter."""
+    params = descriptor.get("params", {}) if isinstance(descriptor, dict) else None
+    if not isinstance(params, dict):
+        raise InvalidParameter("sequence descriptor must be a mapping "
+                               "{kind, params, horizon?} with mapping params")
     kind = descriptor.get("kind")
-    params = descriptor.get("params", {})
     if horizon is None:
         horizon = descriptor.get("horizon", DEFAULT_HORIZON)
+    key = {"gevrey": "alpha", "qgevrey": "q", "table": "log_values",
+           "expr": "expression"}.get(kind) if isinstance(kind, str) else None
+    if key is None:
+        raise InvalidParameter("unknown sequence kind %r" % (kind,))
+    if key not in params:
+        raise InvalidParameter("%s sequences need params.%s" % (kind, key))
+    value = params[key]
     if kind == "gevrey":
-        return gevrey(params["alpha"], horizon)
+        return gevrey(value, horizon)
     if kind == "qgevrey":
-        return q_gevrey(params["q"], horizon)
+        return q_gevrey(value, horizon)
     if kind == "table":
-        values = params.get("log_values")
-        if values is None:
-            raise InvalidParameter("table sequences need params.log_values")
-        return from_table(values, min(horizon, len(values) - 1))
-    if kind == "expr":
-        return from_expr(params["expression"], horizon)
-    raise InvalidParameter("unknown sequence kind %r" % kind)
+        if not isinstance(value, (list, tuple, np.ndarray)):
+            raise InvalidParameter("params.log_values must be a list")
+        if isinstance(horizon, (int, np.integer)):
+            horizon = min(horizon, len(value) - 1)
+        return from_table(value, horizon)
+    return from_expr(value, horizon)

@@ -7,7 +7,7 @@ import math
 import pytest
 from mpmath import mp
 
-from gsmoment import IllConditioned, bessel
+from gsmoment import IllConditioned, InvalidParameter, bessel
 from gsmoment.bessel import flat_moment
 
 
@@ -16,8 +16,15 @@ def test_flat_moments_match_mpmath():
         for nu in range(-9, 171):
             ref = 2 * mp.besselk(abs(nu + 1), 2)
             assert abs(flat_moment(nu) - ref) <= ref * 2.0 ** -52
-        ref = float(2 * mp.besselk(3.5, 2))
-    assert abs(flat_moment(2.5) - ref) <= 1e-15 * ref
+        # half-integer powers, on both sides of nu = -1, from the closed
+        # form K_{1/2}(2) = (sqrt(pi)/2) e^-2 and the recurrence
+        halves = [k + 0.5 for k in range(-9, 171, 7)] + [2.5, 170.5, -172.5]
+        for nu in halves:
+            ref = 2 * mp.besselk(abs(nu + 1), 2)
+            assert abs(flat_moment(nu) - ref) <= ref * 2.0 ** -52
+    for nu in (0.3, -1.25, math.nan):
+        with pytest.raises(InvalidParameter, match="half-integer"):
+            flat_moment(nu)
 
 
 def test_overflowing_orders_are_infinite_without_growing_the_sequence():

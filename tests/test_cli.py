@@ -348,6 +348,60 @@ def test_unbounded_expr_rule_exits_one_promptly():
     assert "InvalidParameter" in proc.stderr
 
 
+def _expr(rule):
+    return json.dumps({"kind": "expr", "params": {"expression": rule}})
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["classify", "--weight", '{"kind":"gevrey"}'], 1, "InvalidParameter"),
+    (["classify", "--weight", '{"kind":"gevrey","params":{"alpha":"x"}}'],
+     1, "InvalidParameter"),
+    (["classify", "--weight", '{"kind":"gevrey","params":[1]}'],
+     1, "InvalidParameter"),
+    (["solve", "--weight", GEVREY3, "--target", '{"h":1}'], 2, "usage"),
+    (["solve", "--weight", GEVREY3, "--target", '{"h":"x","entries":[1]}'],
+     2, "usage"),
+    (["solve", "--weight", GEVREY3, "--target", '[[1,"x"]]'], 2, "usage"),
+    (["moments", "--function", '{"atoms":[["flat_halfline","a",1,0]]}'],
+     1, "InvalidParameter"),
+    (["moments", "--function", '{"atoms":[["flat_halfline",1e999,1,0]]}'],
+     1, "InvalidParameter"),
+    (["moments", "--function", '{"atoms":5}'], 2, "usage"),
+    (["classify", "--weight", _expr("p+")], 1, "InvalidParameter"),
+    (["classify", "--weight", _expr("2")], 1, "NotAWeightSequence"),
+    (["classify", "--weight", _expr("+".join(["p"] * 20000))],
+     1, "InvalidParameter"),
+    (["classify", "--weight", _expr("-" * 19999 + "p")],
+     1, "InvalidParameter"),
+    (["classify", "--weight", _expr(
+        "2*lgamma(p+1) + 0*(lambda q: "
+        "().__class__.__base__.__subclasses__().__len__())(p)")],
+     1, "InvalidParameter"),
+])
+def test_malformed_input_is_refused_without_a_traceback(argv, code, error,
+                                                        capsys):
+    # each input is refused before any computation
+    code_seen, out, err = run(argv, capsys)
+    assert code_seen == code
+    assert out == ""
+    assert error in err.splitlines()[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--function"],
+    ["solve", "--weight", GEVREY3, "--target"],
+    ["borel-ritt", "--weight", GEVREY3, "--entries"],
+])
+def test_json_files_of_the_wrong_shape_are_usage_errors(argv, tmp_path,
+                                                        capsys):
+    path = tmp_path / "five.json"
+    path.write_text("5")
+    code, out, err = run(argv + [str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+
+
 def test_domain_errors_exit_one(capsys):
     # horizon below the supported minimum is a domain error, not usage
     code, out, err = run(["classify", "--weight", GEVREY3,

@@ -1,6 +1,8 @@
 """Weight sequence construction and the associated counting function."""
 
+import ast
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from gsmoment import (DEFAULT_HORIZON, MAX_HORIZON, HorizonExceeded,
                       RequiresLogConvexity, associated_function, from_expr,
                       from_table, gevrey, is_log_convex, make_sequence,
                       q_gevrey, two_interpolate)
+from gsmoment import weightseq
 from gsmoment.weightseq import _lgamma
 
 
@@ -95,11 +98,90 @@ def test_expr_table_matches_direct_evaluation():
     assert ws.log_weight(5) == pytest.approx(10.0 * math.log(6.0), rel=1e-14)
 
 
-@pytest.mark.parametrize("rule", ["lgamma(p+1) + 'x'",
-                                  "lgamma(p+1) + 1" + "0" * 400])
+LAMBDA_RULE = ("2*lgamma(p+1) + 0*(lambda q: "
+               "().__class__.__base__.__subclasses__().__len__())(p)")
+# a valid rule exactly weightseq._RULE_CAP characters long and 487 signs
+# deep, about as deep as a rule within the cap can nest
+RULE_AT_CAP = "+" + "--" * 243 + "2*lgamma(p+1)"
+
+
+@pytest.mark.parametrize("rule", [
+    "lgamma(p+1) + 'x'",
+    "lgamma(p+1) + 1" + "0" * 400,
+    LAMBDA_RULE,
+    "lgamma(p+1) + p.real",
+    "lgamma(p+1) + p[0]",
+    "lgamma(p+1) + sum([q for q in p])",
+    "lgamma(x=p+1)",
+    "lgamma((q := p+1))",
+    "lgamma(p+1) if p else p",
+    "lgamma(p+1) * (p < 2)",
+    "'lgamma(p+1)'",
+    "lgamma(p+1) + True",
+    "lgamma(p+1) + 1j",
+    "lgamma(p+1) + 1/0",
+    pytest.param(RULE_AT_CAP + "+", id="one-over-the-cap"),
+    "p+",
+    pytest.param("+".join(["p"] * 20000), id="20000-terms"),
+    pytest.param("-" * 19999 + "p", id="20000-signs"),
+])
 def test_expr_rule_failures_are_invalid_parameters(rule):
     with pytest.raises(InvalidParameter):
         from_expr(rule, horizon=64)
+
+
+def test_constant_rule_is_not_a_weight_sequence():
+    # the value is broadcast over p, so WeightSequence's checks see it
+    with pytest.raises(NotAWeightSequence, match="normalization"):
+        from_expr("2", horizon=64)
+
+
+def test_deepest_rule_at_the_cap_evaluates():
+    assert len(RULE_AT_CAP) == weightseq._RULE_CAP
+    np.testing.assert_array_equal(
+        from_expr(RULE_AT_CAP, horizon=64).log_values,
+        from_expr("2*lgamma(p+1)", horizon=64).log_values)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+def test_gevrey_rules_give_the_factorial_powers_bit_for_bit(alpha):
+    # the rules the command-line benchmark draws, "%r*lgamma(p+1)"
+    ws = from_expr("%r*lgamma(p+1)" % alpha)
+    ps = np.arange(16 * ws.horizon + 1)
+    want = alpha * _lgamma(ps + 1.0)
+    assert ws.log_values.tobytes() == want[:ws.horizon + 1].tobytes()
+    assert ws.log_weight_array(ps).tobytes() == want.tobytes()
+
+
+def test_no_source_file_executes_code_from_text():
+    # weight rules are evaluated by an allow-listed tree walk, so nothing
+    # in the package may compile or run a string
+    src = os.path.dirname(weightseq.__file__)
+    names = [name for name in os.listdir(src) if name.endswith(".py")]
+    called = set()
+    for name in names:
+        with open(os.path.join(src, name)) as handle:
+            tree = ast.parse(handle.read())
+        called.update(node.func.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name))
+    assert "weightseq.py" in names and "float" in called
+    assert not called & {"eval", "exec", "compile", "__import__"}
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"kind": "gevrey"},
+    {"kind": "gevrey", "params": {"alpha": "x"}},
+    {"kind": "gevrey", "params": [1]},
+    {"kind": "qgevrey", "params": {"q": None}},
+    {"kind": "table", "params": {"log_values": 5}},
+    {"kind": "table", "params": {"log_values": [0.0, "x"]}},
+    {"kind": ["gevrey"], "params": {}},
+    "gevrey",
+])
+def test_malformed_descriptors_are_invalid_parameters(descriptor):
+    with pytest.raises(InvalidParameter):
+        make_sequence(descriptor)
 
 
 def test_descriptor_roundtrip_reproduces_values():
