@@ -45,6 +45,7 @@ GAUSS = "gaussian_poly"
 MIN_FLAT_POWER = -8
 MAX_DERIVATIVE_ORDER = 64
 _GRID_MEMO = 4  # grids whose arrays an instance keeps, last used first
+_WINDOW = 65  # points of a refinement window of the seminorm profile
 
 
 @dataclass(frozen=True)
@@ -162,23 +163,35 @@ def _atom_moment(atom, p):
     return value
 
 
+def _power(k):
+    """An atom power as an int: an integer, or a float of integral value;
+    anything else, a bool or a string among them, is refused."""
+    if isinstance(k, numbers.Integral) and not isinstance(k, (bool, np.bool_)):
+        return int(k)
+    if isinstance(k, float) and k.is_integer():
+        return int(k)
+    raise InvalidParameter("atom power must be an integer, got %r" % (k,))
+
+
 def _coerce_atom(spec):
+    """(Atom, complex coefficient) of one atom spec: an (Atom, coeff) pair,
+    (kind, k, coeff) or (kind, k, re, im[, reflected]), with k an integer
+    power and reflected a bool."""
     if isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[0], Atom):
         return spec
-    try:
-        if isinstance(spec, (tuple, list)):
-            if len(spec) == 3:
-                kind, k, coeff = spec
-                return Atom(kind, int(k)), complex(coeff)
-            if len(spec) == 4:
-                kind, k, re, im = spec
-                return Atom(kind, int(k)), complex(float(re), float(im))
-            if len(spec) == 5:
-                kind, k, re, im, reflected = spec
-                return (Atom(kind, int(k), bool(reflected)),
-                        complex(float(re), float(im)))
-    except (OverflowError, TypeError, ValueError):  # not a number
-        pass
+    if isinstance(spec, (tuple, list)) and len(spec) in (3, 4, 5):
+        kind, k, *parts = spec
+        reflected = parts.pop() if len(parts) == 3 else False
+        if not isinstance(reflected, (bool, np.bool_)):
+            raise InvalidParameter(
+                "atom reflection must be a bool, got %r" % (reflected,))
+        try:
+            coeff = (complex(parts[0]) if len(parts) == 1
+                     else complex(float(parts[0]), float(parts[1])))
+        except (OverflowError, TypeError, ValueError):  # not a number
+            pass
+        else:
+            return Atom(kind, _power(k), bool(reflected)), coeff
     raise InvalidParameter("atom spec must be (kind, k, coeff) or "
                            "(kind, k, re, im[, reflected]), got %r" % (spec,))
 
@@ -392,7 +405,11 @@ def _grid_upper(ws, h):
 
 def default_grid(ws, h, whole_line=False):
     """Log-spaced sampling grid with linear refinement near the origin."""
-    upper = _grid_upper(ws, h)
+    return _grid_to(_grid_upper(ws, h), whole_line)
+
+
+def _grid_to(upper, whole_line):
+    """The default grid whose largest point is upper."""
     if upper <= 1e-3:
         pos = np.geomspace(upper * 1e-4, upper, 129)
     else:
@@ -405,37 +422,6 @@ def default_grid(ws, h, whole_line=False):
     if whole_line:
         return np.concatenate([-pos[::-1], pos])
     return pos
-
-
-def _weighted_log_profile(phi, orders, h, ws, grid, rows):
-    """For each m in orders: log sup over the grid of |phi^(m)| e^{M(h|x|)}.
-
-    rows maps (grid bytes, m) to log|phi^(m)| on that grid and
-    (grid bytes, "weight", h) to M(h|x|) on it; a missing row is computed
-    and stored. Returns (per-order log sups, argmax locations)."""
-    key = grid.tobytes()
-    weight = rows.get((key, "weight", h))
-    if weight is None:
-        weight = rows[key, "weight", h] = ws.associated().values(
-            h * np.abs(grid))
-    sups, args = [], []
-    for m in orders:
-        row = rows.get((key, m))
-        if row is None:
-            row = rows[key, m] = phi.log_abs_derivative(grid, m)
-        vals = row + weight
-        i = int(np.argmax(vals))
-        sups.append(float(vals[i]))
-        args.append(float(grid[i]))
-    return sups, args
-
-
-def _refine_about(x0, upper, spread):
-    lo = max(x0 / spread, 1e-300)
-    hi = min(x0 * spread, upper)
-    if not (hi > lo):
-        return np.array([x0])
-    return np.linspace(lo, hi, 65)
 
 
 def _seminorm_scales(ws, order_caps, scales):
@@ -451,25 +437,102 @@ def _seminorm_scales(ws, order_caps, scales):
     return scales
 
 
-def _log_seminorm(phi, order_cap, h, ws, grid, rows):
-    """log_seminorm on checked arguments and a float grid, reading and
-    filling the derivative rows of _weighted_log_profile."""
-    if grid.size == 0 or phi.is_zero:
-        return -math.inf, {"argmax_x": None, "argmax_m": None}
-    orders = list(range(order_cap + 1))
-    upper = _grid_upper(ws, h)
-    sups, args = _weighted_log_profile(phi, orders, h, ws, grid, rows)
-    best_m = int(np.argmax(sups))
-    best, best_x = sups[best_m], args[best_m]
-    # two refinement passes around the argmax, wide then narrow
+def _log_profile(phi, ws, order_caps, scales, grid=None, refine=True):
+    """The weighted log profile of phi, on checked order caps and scales.
+
+    Returns (sups, cells). sups[i][m] is the log sup over the grid of
+    |phi^(m)(x)| e^{M(h|x|)} at h = scales[i], for m up to the largest
+    cap: the grid is the given one, or else the default grid of h, built
+    once per distinct upper bound. cells holds (log value, argmax x,
+    argmax order) for each (order cap, scale), order caps outer: the best
+    grid point over the orders up to the cap, then two refinement passes
+    about the running argmax, wide then narrow (None without refine).
+
+    Each row log|phi^(m)| is computed once per distinct grid, and each
+    pass evaluates the local grids of every cell at once: one
+    log_abs_derivative call per distinct order over the concatenated
+    distinct windows, and one weight call. A window that collapses to its
+    one point is evaluated alone: numpy sums the terms of a one-point
+    grid pairwise, but those of a longer grid one after another, and the
+    two can differ in the last bit.
+    """
+    if grid is None:
+        whole = phi.support == "real"
+        uppers = [_grid_upper(ws, h) for h in scales]
+        made = {u: _grid_to(u, whole) for u in dict.fromkeys(uppers)}
+        grids = [made[u] for u in uppers]
+    else:
+        grids = [np.asarray(grid, dtype=float)] * len(scales)
+    if phi.is_zero or any(g.size == 0 for g in grids):
+        return None, [(-math.inf, None, None)] * (len(order_caps)
+                                                  * len(scales))
+    top = max(order_caps, default=-1)
+    assoc = ws.associated()
+    rows = {}  # id of a distinct grid -> its (orders x points) rows
+    sups, args = [], []
+    for g, h in zip(grids, scales):
+        if id(g) not in rows:
+            rows[id(g)] = np.array([phi.log_abs_derivative(g, m)
+                                    for m in range(top + 1)]).reshape(top + 1,
+                                                                      g.size)
+        vals = rows[id(g)] + assoc.values(h * np.abs(g))
+        idx = vals.argmax(axis=1)
+        sups.append(vals[np.arange(top + 1), idx])
+        args.append(g[idx])
+    if not refine:
+        return sups, None
+    if grid is not None:  # past the zero check, as a custom grid needs none
+        uppers = [_grid_upper(ws, h) for h in scales]
+    cells = []
+    for cap in order_caps:
+        for i, h in enumerate(scales):
+            m = int(np.argmax(sups[i][:cap + 1]))
+            cells.append([float(sups[i][m]), float(args[i][m]), m, h,
+                          uppers[i]])
     for spread in (2.0, 1.04):
-        local = _refine_about(abs(best_x) if best_x != 0 else 1e-4, upper, spread)
-        if best_x < 0:
-            local = -local
-        s2, a2 = _weighted_log_profile(phi, [best_m], h, ws, local, rows)
-        if s2[0] > best:
-            best, best_x = s2[0], a2[0]
-    return best, {"argmax_x": best_x, "argmax_m": best_m}
+        _refine_pass(phi, assoc, cells, spread)
+    return sups, [tuple(c[:3]) for c in cells]
+
+
+def _refine_pass(phi, assoc, cells, spread):
+    """One refinement pass: each cell [log value, argmax x, argmax order,
+    h, upper bound] takes the best point of a window of _WINDOW points
+    from |x|/spread to |x| spread (capped at the upper bound, on the side
+    of x), where it beats the cell's value."""
+    keys = {}  # (low, high, negative) of each distinct window -> its index
+    opened, alone = [], []  # (cell, window index) and (cell, its one point)
+    for cell in cells:
+        x, upper = cell[1], cell[4]
+        x0 = abs(x) if x != 0 else 1e-4
+        lo = max(x0 / spread, 1e-300)
+        hi = min(x0 * spread, upper)
+        if hi > lo:
+            opened.append((cell, keys.setdefault((lo, hi, x < 0), len(keys))))
+        else:
+            alone.append((cell, np.array([-x0 if x < 0 else x0])))
+    if opened:
+        lo, hi, neg = (np.array(v) for v in zip(*keys))
+        span = np.linspace(lo, hi, _WINDOW, axis=1)
+        np.negative(span, out=span, where=neg[:, None])
+        by_order = {}  # argmax order -> {window index: row of its values}
+        for cell, w in opened:
+            by_order.setdefault(cell[2], {})[w] = None
+        for m, rows in by_order.items():
+            ids = list(rows)
+            found = phi.log_abs_derivative(span[ids].ravel(), m)
+            rows.update(zip(ids, found.reshape(len(ids), _WINDOW)))
+        wins = [w for _, w in opened]
+        hs = np.array([cell[3] for cell, _ in opened])
+        vals = np.array([by_order[cell[2]][w] for cell, w in opened])
+        vals += assoc.values(np.abs(span[wins]) * hs[:, None])
+        for (cell, w), row, i in zip(opened, vals, vals.argmax(axis=1)):
+            if row[i] > cell[0]:
+                cell[0], cell[1] = float(row[i]), float(span[w, i])
+    for cell, x in alone:
+        v = (phi.log_abs_derivative(x, cell[2])
+             + assoc.values(cell[3] * np.abs(x)))[0]
+        if v > cell[0]:
+            cell[0], cell[1] = float(v), float(x[0])
 
 
 def log_seminorm(phi, order_cap, h, ws, grid=None):
@@ -480,11 +543,9 @@ def log_seminorm(phi, order_cap, h, ws, grid=None):
     passes around the running argmax, so refining the grid further can
     only increase the value within tolerance.
     """
-    (h,) = _seminorm_scales(ws, (order_cap,), (h,))
-    if grid is None:
-        grid = default_grid(ws, h, whole_line=phi.support == "real")
-    grid = np.asarray(grid, dtype=float)
-    return _log_seminorm(phi, order_cap, h, ws, grid, {})
+    scales = _seminorm_scales(ws, (order_cap,), (h,))
+    _, [(value, x, m)] = _log_profile(phi, ws, (order_cap,), scales, grid)
+    return value, {"argmax_x": x, "argmax_m": m}
 
 
 def seminorm(phi, order_cap, h, ws, grid=None):
@@ -498,19 +559,16 @@ def seminorm(phi, order_cap, h, ws, grid=None):
 def dual_seminorm_pair(phi, weight_ws, amplitude_ws, h, order_cap, grid=None):
     """Norm combining a weight sequence in x and one in the derivative
     order: max over q <= cap of (h^q / A_q) sup_x |phi^(q)(x)| e^{M(h|x|)}."""
-    (h,) = _seminorm_scales(weight_ws, (order_cap,), (h,))
+    scales = _seminorm_scales(weight_ws, (order_cap,), (h,))
     if order_cap > amplitude_ws.horizon:
         raise InvalidParameter("order cap beyond the amplitude horizon")
-    whole = phi.support == "real"
-    if grid is None:
-        grid = default_grid(weight_ws, h, whole_line=whole)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or phi.is_zero:
+    sups, _ = _log_profile(phi, weight_ws, (order_cap,), scales, grid,
+                           refine=False)
+    if sups is None:
         return 0.0
-    orders = list(range(order_cap + 1))
-    sups, _ = _weighted_log_profile(phi, orders, h, weight_ws, grid, {})
     best = -math.inf
-    lnh = math.log(h)
-    for q in orders:
-        best = max(best, q * lnh - amplitude_ws.log_weight(q) + sups[q])
+    lnh = math.log(scales[0])
+    for q in range(order_cap + 1):
+        best = max(best, q * lnh - amplitude_ws.log_weight(q)
+                   + float(sups[0][q]))
     return float(np.exp(best)) if best > -math.inf else 0.0

@@ -46,8 +46,14 @@ solve is then one forward and one back substitution on those rows,
 O(n^2) instead of the O(n^3) factorization, made of libmp's rounded
 products, differences and quotients in the order of mp.L_solve and
 mp.U_solve, so its coefficients are bit for bit theirs.
-The residual check at doubled precision and moment_closed form their
-sums with the verifier's integer window product, over the Gram values.
+moment_closed forms its sums with the verifier's integer window product,
+over the Gram values. So does the residual check at doubled precision,
+which decides each order exactly on those integers: the target entry and
+the bound tolerance * 1e-3 * max(1, |a_p|) are brought to the sum's
+exponent and |S - a_p|^2 is compared with the bound's square. Only the
+returned trapezoid level's sums become mpmath numbers; the gaps between
+levels and the reported 40-digit residuals are formed from raw libmp
+values with the roundings of the mpmath arithmetic they replace.
 
 Precision is set through the global mpmath context (mp.workprec and
 mp.workdps), which every thread of the process shares, so solving or
@@ -65,15 +71,16 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import product
 from operator import mul
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import (from_float, from_man_exp, fzero, mpf_div, mpf_mul,
-                          mpf_sub, round_nearest)
+from mpmath.libmp import (dps_to_prec, from_float, from_man_exp, fzero,
+                          mpc_abs, mpc_sub, mpc_to_complex, mpf_div, mpf_mul,
+                          mpf_sub, round_nearest, to_float)
 
-from .atoms import (FLAT, TestFunction, _log_seminorm, _seminorm_scales,
-                    default_grid)
+from .atoms import FLAT, TestFunction, _log_profile, _seminorm_scales
 from .bessel import k2_sequence
 from .conditions import HOLDS, check_condition
 from .errors import (ConditionRefused, IllConditioned, InvalidParameter,
@@ -107,6 +114,7 @@ _HANKEL_CACHE = OrderedDict()
 _LU_GUARD = 10
 
 _LOG10_2 = math.log10(2)
+_RESIDUAL_PREC = dps_to_prec(40)  # bits of the reported quadrature residuals
 
 # Gram rungs kept, least recently used first out. A solve touches one
 # rung per ladder step tried plus its 2x-bits residual rung, so 8 holds
@@ -167,29 +175,66 @@ def _as_fixed_coefficients(coeffs):
     return man[:len(parts)], man[len(parts):], exp
 
 
+def _window_dots(coeffs, table, orders):
+    """(dots, exponent): for each j in orders the exact integers (re, im)
+    with sum_k c_k v[j + k] = (re + i im) * 2^exponent, where coeffs is
+    _as_fixed_coefficients form and table the reals v in _as_fixed form;
+    im is 0 when every coefficient is real."""
+    re, im, c_exp = coeffs
+    man, v_exp = table
+    n = len(re)
+    dots = []
+    for j in orders:
+        window = man[j:j + n]
+        dots.append((sum(map(mul, re, window)),
+                     0 if im is None else sum(map(mul, im, window))))
+    return dots, c_exp + v_exp
+
+
+def _rounded(dots, exp, prec):
+    """Each dot (re, im) * 2^exp rounded once to prec bits, as an (re, im)
+    pair of raw mpf values."""
+    return [(from_man_exp(re, exp, prec, round_nearest),
+             from_man_exp(im, exp, prec, round_nearest)) for re, im in dots]
+
+
+def _numbers(raw, real):
+    """Raw (re, im) pairs as mpf values of their real parts, when real, or
+    else as mpc values."""
+    if real:
+        return [mp.make_mpf(re) for re, _ in raw]
+    return [mp.make_mpc(z) for z in raw]
+
+
 def _window_sums(coeffs, table, orders, shift=0):
-    """sum_k c_k v[j + k] * 2^shift for each j in orders, where coeffs is
-    _as_fixed_coefficients form and table the reals v in _as_fixed form.
+    """sum_k c_k v[j + k] * 2^shift for each j in orders, as mpf values
+    when every coefficient is real and mpc values otherwise, with coeffs
+    and table as in _window_dots.
 
     Each sum is an exact integer dot product rounded once at the working
     precision, which is what mp.fdot does, so it is bit for bit
     mp.fdot(c, v[j:j + n]) * 2^shift (fdot drops a term only when it lies
     more than twice the precision in bits from its running sum)."""
-    re, im, c_exp = coeffs
-    man, v_exp = table
-    n = len(re)
-    exp = c_exp + v_exp + shift
-    prec = mp.prec
-    out = []
-    for j in orders:
-        window = man[j:j + n]
-        s = from_man_exp(sum(map(mul, re, window)), exp, prec, round_nearest)
-        if im is None:
-            out.append(mp.make_mpf(s))
-        else:
-            out.append(mp.make_mpc((s, from_man_exp(
-                sum(map(mul, im, window)), exp, prec, round_nearest))))
-    return out
+    dots, exp = _window_dots(coeffs, table, orders)
+    return _numbers(_rounded(dots, exp + shift, mp.prec), coeffs[1] is None)
+
+
+def _dyadic(x):
+    """(man, exp) with the float x equal to man * 2^exp."""
+    man, den = x.as_integer_ratio()
+    return man, 1 - den.bit_length()
+
+
+def _within(dot, exp, a, tol):
+    """Whether |(re + i im) * 2^exp - a| <= tol * max(1, |a|) exactly, for
+    the dot (re, im), a complex a and a float tol: every part brought to
+    the smallest exponent, and the squared moduli compared as integers."""
+    (tm, te), (sm, se) = _dyadic(tol), _dyadic(max(1.0, abs(a)))
+    parts = [(dot[0], exp), (dot[1], exp), _dyadic(a.real), _dyadic(a.imag),
+             (tm * sm, te + se)]
+    low = min(e for _, e in parts)
+    sr, si, ar, ai, bound = (m << (e - low) for m, e in parts)
+    return (sr - ar) ** 2 + (si - ai) ** 2 <= bound * bound
 
 
 def _cumulative_table(level, count):
@@ -230,16 +275,21 @@ def _shared_node_moments(sol):
     scales = [max(1.0, abs(a)) for a in sol.target.entries]
     slack = sol.tolerance * 1e-6
     gap = None
+    rnd = round_nearest
     with mp.workdps(_DPS_GRID * -(-dps // _DPS_GRID)):
+        prec = mp.prec
         last = None
         for level in range(_FIRST_LEVEL, _MAX_LEVEL + 1):
-            sums = _window_sums(coeffs, _cumulative_table(level, 2 * n - 1),
-                                range(n), -level)
+            dots, exp = _window_dots(
+                coeffs, _cumulative_table(level, 2 * n - 1), range(n))
+            sums = _rounded(dots, exp - level, prec)
             if last is not None:
-                gap = max(abs(complex(s - q)) / c
+                # abs(complex(s - q)) of the mpmath numbers, from raw parts
+                gap = max(abs(mpc_to_complex(mpc_sub(s, q, prec, rnd),
+                                             rnd=rnd)) / c
                           for s, q, c in zip(sums, last, scales))
                 if gap <= slack:
-                    return sums, level, gap
+                    return _numbers(sums, coeffs[1] is None), level, gap
             last = sums
     if gap is None:
         raise IllConditioned(
@@ -628,12 +678,12 @@ def solve_moments(target, ws, override_gamma2=False,
         if lu is None:
             continue
         c = _solve_rung(lu, target, bits + _LU_GUARD)
-        # residual of the linear system, judged at doubled precision
-        with mp.workprec(2 * bits):
-            sums = _window_sums(_as_fixed_coefficients(c),
-                                _gram_rung(n, 2 * bits).fixed, range(n))
-            ok = all(abs(s - mp.mpc(a)) / max(1.0, abs(a)) <= tolerance * 1e-3
-                     for s, a in zip(sums, target.entries))
+        # residual of the linear system against the Gram values at doubled
+        # precision, decided exactly on the integer window sums
+        dots, exp = _window_dots(_as_fixed_coefficients(c),
+                                 _gram_rung(n, 2 * bits).fixed, range(n))
+        ok = all(_within(d, exp, a, float(tolerance) * 1e-3)
+                 for d, a in zip(dots, target.entries))
         if ok:
             solution = MomentSolution(
                 target, ws, c, bits, (), verdict, override_gamma2,
@@ -645,11 +695,16 @@ def solve_moments(target, ws, override_gamma2=False,
             % ladder[-1])
     if verify:
         residuals = []
+        rnd = round_nearest
         for p in range(n):
             q = solution.moment_quadrature(p)
             a_p = target.entries[p]
-            with mp.workdps(40):
-                rel = float(abs(q - mp.mpc(a_p))) / max(1.0, abs(a_p))
+            # float(abs(q - mp.mpc(a_p))) at 40 digits, from raw parts
+            q = getattr(q, "_mpc_", None) or (q._mpf_, fzero)
+            diff = mpc_sub(q, (from_float(a_p.real), from_float(a_p.imag)),
+                           _RESIDUAL_PREC, rnd)
+            rel = to_float(mpc_abs(diff, _RESIDUAL_PREC, rnd), rnd=rnd) \
+                / max(1.0, abs(a_p))
             residuals.append(rel)
         solution.residuals = tuple(residuals)
         worst = max(residuals)
@@ -668,30 +723,27 @@ def membership_report(phi, ws, order_caps=(0, 2, 4, 8),
 
     Each cell is log_seminorm of phi at its order cap and scale: the sup
     over the scale's default grid, then two refinement passes around the
-    argmax. Each (grid, order) row log|phi^(m)| is computed once per
-    report and shared by every cell that reads it."""
+    argmax. All cells come from one profile (atoms._log_profile), which
+    computes each derivative row once per distinct grid and refines every
+    cell at once."""
     scales = _seminorm_scales(ws, order_caps, scales)
-    whole = phi.support == "real"
-    grids = {h: default_grid(ws, h, whole_line=whole) for h in scales}
-    rows = {}
+    _, found = _log_profile(phi, ws, order_caps, scales)
     cells = []
     all_finite = True
-    for n_cap in order_caps:
-        for h in scales:
-            logv, where = _log_seminorm(phi, n_cap, h, ws, grids[h], rows)
-            over = logv > OVERFLOW_LOG
-            if over:
-                all_finite = False
-            cells.append({
-                "order_cap": int(n_cap),
-                "scale": float(h),
-                "log_value": None if logv == -math.inf else float(logv),
-                "value": None if over or logv == -math.inf
-                else float(np.exp(logv)),
-                "status": "Overflow" if over else "Finite",
-                "argmax_x": where["argmax_x"],
-                "argmax_order": where["argmax_m"],
-            })
+    for (logv, x, m), (n_cap, h) in zip(found, product(order_caps, scales)):
+        over = logv > OVERFLOW_LOG
+        if over:
+            all_finite = False
+        cells.append({
+            "order_cap": int(n_cap),
+            "scale": float(h),
+            "log_value": None if logv == -math.inf else float(logv),
+            "value": None if over or logv == -math.inf
+            else float(np.exp(logv)),
+            "status": "Overflow" if over else "Finite",
+            "argmax_x": x,
+            "argmax_order": m,
+        })
     return {"cells": cells, "all_finite": all_finite}
 
 

@@ -360,7 +360,11 @@ def from_expr(expression, horizon=DEFAULT_HORIZON):
     def vec(ps):
         p = np.asarray(ps, dtype=float)
         try:
-            value = np.asarray(_rule_value(tree, dict(_RULE_CONSTANTS, p=p)))
+            # a log(0) or an inf - inf leaves a non-finite value, which the
+            # cached values' finiteness check refuses; numpy need not warn
+            with np.errstate(all="ignore"):
+                value = np.asarray(_rule_value(tree,
+                                               dict(_RULE_CONSTANTS, p=p)))
             if value.dtype != float:
                 raise TypeError("the value is not real")
         except (OverflowError, TypeError, ZeroDivisionError) as exc:

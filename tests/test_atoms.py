@@ -178,6 +178,29 @@ def test_atom_validation():
         Atom("flat_halfline", 0.5)
 
 
+@pytest.mark.parametrize("spec", [
+    ["flat_halfline", 1.5, 1, 0],      # was read as power 1
+    ("flat_halfline", 0.5, 1.0),       # was read as power 0
+    ["flat_halfline", "1", 1, 0],      # a string is not a power
+    ["flat_halfline", True, 1, 0],     # nor is a bool
+    ["flat_halfline", 1, 1, 0, "no"],  # was read as reflected
+    ["flat_halfline", 1, 1, 0, 1],     # a reflection is a bool
+])
+def test_atom_specs_are_checked_not_coerced(spec):
+    with pytest.raises(InvalidParameter):
+        TestFunction([spec])
+
+
+def test_integral_float_powers_and_bool_reflections_are_read():
+    phi = TestFunction([["flat_halfline", 2.0, 1, 0, False],
+                        ["flat_halfline", 1, 0.5, 0, np.True_],
+                        ("gaussian_poly", np.int64(3), 2.0)])
+    assert [(a.kind, a.k, a.reflected) for a, _ in phi.atoms] == [
+        ("flat_halfline", 1, True), ("flat_halfline", 2, False),
+        ("gaussian_poly", 3, False)]
+    assert all(type(a.k) is int for a, _ in phi.atoms)
+
+
 def test_derivative_order_cap():
     with pytest.raises(DepthExceeded):
         flat(0).eval_derivative(1.0, 65)

@@ -352,6 +352,22 @@ def _expr(rule):
     return json.dumps({"kind": "expr", "params": {"expression": rule}})
 
 
+def test_non_finite_rule_values_print_only_the_error_line():
+    # numpy's RuntimeWarnings from log(0) and 0 * inf stay off stderr; the
+    # finiteness check alone reports the rule
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(gsmoment.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gsmoment.cli", "classify", "--horizon", "64",
+         "--weight", _expr("p*log(p)")], env=env, capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: NotAWeightSequence: log-weights must be finite"]
+
+
 @pytest.mark.parametrize("argv, code, error", [
     (["classify", "--weight", '{"kind":"gevrey"}'], 1, "InvalidParameter"),
     (["classify", "--weight", '{"kind":"gevrey","params":{"alpha":"x"}}'],
@@ -377,6 +393,10 @@ def _expr(rule):
         "2*lgamma(p+1) + 0*(lambda q: "
         "().__class__.__base__.__subclasses__().__len__())(p)")],
      1, "InvalidParameter"),
+    (["moments", "--function", '{"atoms":[["flat_halfline",1.5,1,0]]}'],
+     1, "InvalidParameter"),
+    (["moments", "--function",
+      '{"atoms":[["flat_halfline",1,1,0,"no"]]}'], 1, "InvalidParameter"),
 ])
 def test_malformed_input_is_refused_without_a_traceback(argv, code, error,
                                                         capsys):

@@ -1,7 +1,8 @@
 """Golden outputs of the seven README command-line examples, of two
 classify runs that pin every condition's report, of one solve run with
-the parity-split reduction, and of one degree-8 solve with its
-membership profile: eleven examples.
+the parity-split reduction, of one degree-8 solve with its membership
+profile, of one dual pairing norm and of one whole-line seminorm:
+thirteen examples.
 
 Each example's stdout and exit code, and the CSV file that the classify
 example writes, are stored under tests/golden/ and compared byte for
@@ -31,6 +32,9 @@ CSV = "{csv}"  # replaced by a path under a temporary directory
 GEVREY2 = '{"kind":"gevrey","params":{"alpha":2.0}}'
 GEVREY3 = '{"kind":"gevrey","params":{"alpha":3.0}}'
 FLAT0 = '{"atoms":[["flat_halfline",0,1.0,0.0]]}'
+# a Gaussian plus a reflected flat atom: the whole-line grid, both signs
+WHOLE_LINE = ('{"atoms":[["gaussian_poly",2,1.0,0.0],'
+              '["flat_halfline",1,0.5,-0.25,true]]}')
 # log (p!)^2 for p <= 128 with log M_40 raised by 0.5: not log-convex, so
 # mg takes its brute-force split, and table-backed
 DENTED = json.dumps({"kind": "table", "params": {"log_values": [
@@ -51,6 +55,11 @@ EXAMPLES = {
                     '{"kind":"qgevrey","params":{"q":2.0}}'],
     "seminorm": ["seminorm", "--weight", GEVREY2, "--function", FLAT0,
                  "--order-cap", "4"],
+    "seminorm-dual": ["seminorm", "--weight", GEVREY2, "--function", FLAT0,
+                      "--order-cap", "6", "--scale", "2.0",
+                      "--amplitude", GEVREY3],
+    "seminorm-whole-line": ["seminorm", "--weight", GEVREY2, "--function",
+                            WHOLE_LINE, "--order-cap", "5", "--scale", "0.5"],
     "moments": ["moments", "--function", FLAT0, "--max-order", "6",
                 "--apply", "fold", "--apply", "sqrt_sub"],
     "solve": ["solve", "--weight", GEVREY3, "--target", "[1.0, 0.5, 2.0]",

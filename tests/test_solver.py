@@ -390,18 +390,22 @@ def _count_log_rows(monkeypatch):
 def test_membership_report_builds_each_derivative_row_once(monkeypatch):
     ball = _ball12_function()
     calls = _count_log_rows(monkeypatch)
-    membership_report(ball, WS3)
+    report = membership_report(ball, WS3)
     # the three scales share one grid on gevrey(3): 9 rows for orders
-    # 0..8 plus 14 distinct refinement rows, where one log_seminorm per
-    # cell makes 54 + 24 = 78
-    assert calls[0] == 23
+    # 0..8, then one row per distinct argmax order in each of the two
+    # refinement passes, over every cell's window at once; one
+    # log_seminorm per cell makes 54 + 24 = 78
+    orders = {cell["argmax_order"] for cell in report["cells"]}
+    assert orders == {0, 2, 4, 8}
+    assert calls[0] == 9 + 2 * 4
     # a second report recomputes every row it reads: none survives a call
     calls[0] = 0
-    membership_report(flat(0), WS3)
-    assert calls[0] == 19
+    report = membership_report(flat(0), WS3)
+    assert calls[0] == 9 + 2 * len({cell["argmax_order"]
+                                    for cell in report["cells"]})
     calls[0] = 0
     membership_report(ball, WS3)
-    assert calls[0] == 23
+    assert calls[0] == 17
 
 
 def _reference_log_derivative(phi, x, m):
@@ -702,6 +706,76 @@ def test_integer_window_sums_are_the_fdot_sums(degree, real, min_bits):
                 sol._fixed, solver._gram_rung(n, bits).fixed, range(n))
         assert _bits_of(got) == _bits_of(ref)
     assert _bits_of(sol.moment_closed(p) for p in range(n)) == _bits_of(ref)
+
+
+@SWEEP
+def test_residual_checks_decide_as_the_mpmath_rules(degree, real, min_bits):
+    # the 2x-bits check, decided on exact integers, against the mpmath
+    # rule on every rung up to the one accepted; the reported residuals
+    # and the pass's gap against the mpmath arithmetic they replace
+    sol = _sweep_solution(degree, real, min_bits)
+    target, n = sol.target, degree + 1
+    slack = sol.tolerance * 1e-3
+    for bits in solver.PRECISION_LADDER:
+        if bits > sol.precision_bits or (min_bits and bits < min_bits):
+            continue
+        lu = solver._gram_rung(n, bits).lu
+        if lu is None:  # singular at this precision, skipped by the solver
+            continue
+        c = solver._solve_rung(lu, target, bits + solver._LU_GUARD)
+        with mp.workprec(2 * bits):
+            sums = solver._window_sums(solver._as_fixed_coefficients(c),
+                                       solver._gram_rung(n, 2 * bits).fixed,
+                                       range(n))
+            want = all(abs(s - mp.mpc(a)) / max(1.0, abs(a)) <= slack
+                       for s, a in zip(sums, target.entries))
+        assert want == (bits == sol.precision_bits)
+        dots, exp = solver._window_dots(solver._as_fixed_coefficients(c),
+                                        solver._gram_rung(n, 2 * bits).fixed,
+                                        range(n))
+        assert all(solver._within(d, exp, a, slack)
+                   for d, a in zip(dots, target.entries)) == want
+    with mp.workdps(40):
+        want = [float(abs(sol.moment_quadrature(p) - mp.mpc(a)))
+                / max(1.0, abs(a)) for p, a in enumerate(target.entries)]
+    assert [r.hex() for r in sol.residuals] == [r.hex() for r in want]
+    dps = max(sol._headroom_dps())
+    scales = [max(1.0, abs(a)) for a in target.entries]
+    with mp.workdps(solver._DPS_GRID * -(-dps // solver._DPS_GRID)):
+        last, level = [
+            solver._window_sums(sol._fixed, solver._cumulative_table(
+                level, 2 * n - 1), range(n), -level)
+            for level in (sol.quadrature_level - 1, sol.quadrature_level)]
+        gap = max(abs(complex(s - q)) / c
+                  for s, q, c in zip(level, last, scales))
+    assert gap.hex() == sol.quadrature_gap.hex()
+
+
+def test_the_exact_check_meets_its_bound_inclusively():
+    # |S - a| against tol * max(1, |a|), with S = (re + i im) 2^exp
+    assert solver._within((3, 4), 0, 0j, 5.0)
+    assert not solver._within((3, 4), 0, 0j, math.nextafter(5.0, 0.0))
+    # a = 8: the bound is tol * 8, and S - a = 2^-60 sits right on it
+    tol = 2.0 ** -63
+    assert solver._within(((8 << 60) + 1, 0), -60, 8 + 0j, tol)
+    assert not solver._within(((8 << 60) + 2, 0), -60, 8 + 0j, tol)
+    assert solver._within((-(1 << 70), 0), -70, -1 + 0.5j, 0.5)
+
+
+def test_a_warm_verified_solve_builds_no_mpc(monkeypatch):
+    # the residual check, the trapezoid levels and the reported residuals
+    # work on raw libmp values: no mp.mpc is built
+    target = unit_ball_target(WS3, 12, 0.25, seed=4)
+    solve_moments(target, WS3)
+
+    class Refused(mp.mpc):
+        # mp.make_mpc builds its values without calling the class
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("mp.mpc called")
+    monkeypatch.setattr(mp, "mpc", Refused)
+    sol = solve_moments(unit_ball_target(WS3, 12, 0.25, seed=5), WS3)
+    assert max(sol.residuals) < 1e-25
+    assert sol.quadrature_level is not None
 
 
 def _mpmath_headroom(sol):
